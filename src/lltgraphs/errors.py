@@ -2,9 +2,9 @@
 
 Two families matter to callers: ParseError (bad textual input, CLI exit
 code 2) and PreconditionError (a well-formed request whose mathematical
-preconditions fail, CLI exit code 3). Every concrete error below picks
-one of the two as its base so the CLI can map exceptions to exit codes
-without a lookup table.
+preconditions fail, CLI exit code 3). Every concrete error below but
+WitnessReplayFailed, an internal fault, picks one of the two as its base
+so the CLI can map exceptions to exit codes without a lookup table.
 """
 
 from __future__ import annotations
@@ -83,10 +83,6 @@ class NotUnicellular(PreconditionError):
     """An operation restricted to single-cell rows got a wider strip."""
 
 
-class ZeroPolynomial(PreconditionError):
-    """The zero polynomial has no top q-degree."""
-
-
 # --- weighted graphs ---
 
 class NotRealizedWithinBound(PreconditionError):
@@ -95,6 +91,10 @@ class NotRealizedWithinBound(PreconditionError):
 
 class GraphsNotIsomorphic(PreconditionError):
     """A witness search requires isomorphic interval graphs to start from."""
+
+
+class WitnessReplayFailed(LltgraphsError):
+    """Replaying a found move chain missed the target; signals an internal fault."""
 
 
 # --- structural predicates ---

@@ -6,17 +6,25 @@ at most k. Two cells u (row i) and v (row j), i < j, invert when they
 share a content and the earlier row's entry is larger, or the earlier
 cell's content is one higher and its entry is smaller. Summing
 q^(inversions) x^(content multiset) over all fillings gives the strip's
-polynomial; for unicellular strips the same sum can be read off a
-labelled graph by counting ascents of vertex colourings.
+polynomial; for unicellular strips the same sum can be read off the
+labelled graph of gamma_graph by counting ascents of vertex colourings.
+
+The statistic is local in content, as in Haglund-Haiman-Loehr (JAMS
+2005), so llt_poly never lists tableaux. It places the letters 1, 2, ...
+in turn, remembers only how many cells of each row are filled, and
+counts each letter's inversions as overlaps between the content
+intervals it fills and those still empty. It does so once per partition
+of the cell count and reads the other monomials off by symmetry.
+`inversions` keeps the direct cell-pair count for a single tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import product
 
-from .errors import NotUnicellular, PreconditionViolated, ZeroPolynomial
-from .qsymfunc import BasisExpansion, QPoly, SymFunc
+from .errors import NotUnicellular, PreconditionViolated
+from .qsymfunc import BasisExpansion, QPoly, SymFunc, _distinct_permutations
 from .strips import HorizontalStrip, Row
 
 StripTableau = tuple[tuple[int, ...], ...]
@@ -38,13 +46,6 @@ class LabelledGraph:
     @property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
-
-    def degree_multiset(self) -> tuple[int, ...]:
-        degs = [0] * self.n
-        for a, b in self.edges:
-            degs[a - 1] += 1
-            degs[b - 1] += 1
-        return tuple(sorted(degs, reverse=True))
 
 
 def validate_tableau(strip: HorizontalStrip, tableau) -> StripTableau:
@@ -88,62 +89,86 @@ def _rows_interact(r: Row, s: Row) -> bool:
     return not (r.hi < s.lo - 1 or s.hi < r.lo - 1)
 
 
+def _step_tables(ra: Row, rb: Row):
+    """Tables for the letter DP, ra the earlier row: same[x][y] counts cells
+    of rb with index < x facing cells of ra with index >= y at equal content;
+    below[x][y], cells of ra with index < x facing cells of rb with index
+    >= y one content lower."""
+    def overlap(lo1, hi1, lo2, hi2):
+        return max(0, min(hi1, hi2) - max(lo1, lo2) + 1)
+
+    same = [[overlap(rb.lo, rb.lo + x - 1, ra.lo + y, ra.hi) for y in range(ra.size + 1)]
+            for x in range(rb.size + 1)]
+    below = [[overlap(ra.lo, ra.lo + x - 1, rb.lo + y + 1, rb.hi + 1) for y in range(rb.size + 1)]
+             for x in range(ra.size + 1)]
+    return same, below
+
+
+def _advances(f: tuple[int, ...], sizes: tuple[int, ...], m: int) -> list:
+    """Every g with f <= g <= sizes rowwise and m more cells than f."""
+    total = sum(f) + m
+    if total == sum(sizes):
+        return [sizes]
+    heads = product(*(range(x, min(s, x + m) + 1) for x, s in zip(f[:-1], sizes[:-1])))
+    return [head + (total - sum(head),) for head in heads
+            if f[-1] <= total - sum(head) <= sizes[-1]]
+
+
 def llt_poly(strip: HorizontalStrip, k: int | None = None) -> SymFunc:
     """Sum of q^(inversions) x^(entry counts) over all tableaux with
     entries at most k. Defaults to k = row count, which is enough
     variables to pin down the strip's symmetric function.
 
-    Enumerates the product of per-row fillings, with inversion counts
-    between interacting row pairs looked up from precomputed tables.
+    A dynamic programme places the letters 1, 2, ... in turn. Its state f
+    counts the filled cells of each row. Placing a letter in cells
+    [f_i, g_i) of each row i adds, for each interacting row pair a < b,
+    the new cells of b facing still-empty cells of a at equal content and
+    the new cells of a facing still-empty cells of b one content lower.
+    It runs once per partition lam of the cell count with at most k parts,
+    letter i used lam_i times, and partitions with a common prefix share
+    its layers. The coefficient of x^lam is that of each rearrangement.
     """
     if k is None:
         k = strip.n
     if k < 1:
         raise ValueError("need at least one variable")
-    rows = strip.rows
-    n = len(rows)
-    row_seqs: list[list[tuple[int, ...]]] = []
-    row_counts: list[list[tuple[int, ...]]] = []
-    for r in rows:
-        seqs = list(combinations_with_replacement(range(1, k + 1), r.size))
-        counts = []
-        for s in seqs:
-            v = [0] * k
-            for e in s:
-                v[e - 1] += 1
-            counts.append(tuple(v))
-        row_seqs.append(seqs)
-        row_counts.append(counts)
-    tables: dict[tuple[int, int], list[list[int]]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _rows_interact(rows[i], rows[j]):
-                tables[(i, j)] = [
-                    [_pair_inversions(rows[i], si, rows[j], sj) for sj in row_seqs[j]]
-                    for si in row_seqs[i]
-                ]
-    terms: dict[tuple[int, ...], dict[int, int]] = {}
-    choice = [0] * n
+    rows, sizes = strip.rows, strip.sizes
+    pairs = [(a, b, *_step_tables(rows[a], rows[b]))
+             for a in range(len(rows)) for b in range(a + 1, len(rows))
+             if _rows_interact(rows[a], rows[b])]
 
-    def rec(r: int, exp: tuple[int, ...], inv: int):
-        if r == n:
-            d = terms.setdefault(exp, {})
-            d[inv] = d.get(inv, 0) + 1
+    def step(layer: dict, m: int) -> dict:
+        out: dict[tuple[int, ...], dict[int, int]] = {}
+        for f, poly in layer.items():
+            for g in _advances(f, sizes, m):
+                inv = sum(same[g[b]][g[a]] - same[f[b]][g[a]]
+                          + below[g[a]][g[b]] - below[f[a]][g[b]]
+                          for a, b, same, below in pairs)
+                acc = out.get(g)
+                if acc is None:
+                    acc = out[g] = {}
+                for e, c in poly.items():
+                    acc[e + inv] = acc.get(e + inv, 0) + c
+        return out
+
+    coeffs: dict[tuple[int, ...], dict[int, int]] = {}
+
+    def descend(layer: dict, lam: tuple[int, ...], left: int):
+        if not left:
+            coeffs[lam] = layer[sizes]
             return
-        counts = row_counts[r]
-        pair_cols = [
-            (tables[(i, r)][choice[i]]) for i in range(r) if (i, r) in tables
-        ]
-        for idx in range(len(row_seqs[r])):
-            choice[r] = idx
-            add = sum(col[idx] for col in pair_cols)
-            new_exp = tuple(a + b for a, b in zip(exp, counts[idx]))
-            rec(r + 1, new_exp, inv + add)
+        for m in range(min(left, lam[-1] if lam else left), 0, -1):
+            if left - m > m * (k - len(lam) - 1):  # the rest no longer fits
+                break
+            descend(step(layer, m), lam + (m,), left - m)
 
-    rec(0, (0,) * k, 0)
-    return SymFunc(
-        k, strip.cell_count, {e: QPoly(d) for e, d in terms.items()}
-    )
+    descend({(0,) * len(rows): {0: 1}}, (), strip.cell_count)
+    terms = {}
+    for lam, poly in coeffs.items():
+        c = QPoly(poly)
+        for exps in _distinct_permutations(lam + (0,) * (k - len(lam))):
+            terms[exps] = c
+    return SymFunc(k, strip.cell_count, terms)
 
 
 def two_row_schur(a: int, b: int, m: int) -> BasisExpansion:
@@ -179,28 +204,3 @@ def gamma_graph(strip: HorizontalStrip) -> LabelledGraph:
             elif ca == cb + 1 and ra < rb:
                 edges.add((a + 1, b + 1))
     return LabelledGraph(n, frozenset(edges))
-
-
-def llt_via_colourings(graph: LabelledGraph, k: int) -> SymFunc:
-    """Ascent-weighted sum over all (not necessarily proper) colourings:
-    an edge (v_a, v_b), a < b, ascends when the colour strictly grows."""
-    if k < 1:
-        raise ValueError("need at least one colour")
-    edges = graph.sorted_edges
-    terms: dict[tuple[int, ...], dict[int, int]] = {}
-    for kappa in product(range(1, k + 1), repeat=graph.n):
-        asc = sum(1 for a, b in edges if kappa[a - 1] < kappa[b - 1])
-        v = [0] * k
-        for colour in kappa:
-            v[colour - 1] += 1
-        exp = tuple(v)
-        d = terms.setdefault(exp, {})
-        d[asc] = d.get(asc, 0) + 1
-    return SymFunc(k, graph.n, {e: QPoly(d) for e, d in terms.items()})
-
-
-def top_q_degree(f: SymFunc) -> int:
-    """Largest q-exponent appearing in any coefficient."""
-    if f.is_zero:
-        raise ZeroPolynomial("the zero polynomial has no top q-degree")
-    return max(c.degree for _, c in f.terms())

@@ -669,11 +669,6 @@ class BasisExpansion:
             raise ParseError(f"bad basis expansion JSON: {exc}") from None
 
 
-def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Product of two symmetric polynomials in the same variables."""
-    return f * g
-
-
 def _pad(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
     return lam + (0,) * (k - len(lam))
 

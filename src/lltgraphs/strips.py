@@ -45,9 +45,6 @@ class Row:
     def shifted(self, d: int) -> "Row":
         return Row(self.lo + d, self.hi + d)
 
-    def contains(self, other: "Row") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     @property
     def literal(self) -> str:
         return f"{self.hi + 1}/{self.lo}"

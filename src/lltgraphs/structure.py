@@ -20,6 +20,7 @@ from .errors import (
     IndexOutOfRange,
     NonCommutingSwap,
     PreconditionViolated,
+    WitnessReplayFailed,
 )
 from .strips import (
     HorizontalStrip,
@@ -402,7 +403,8 @@ def similarity_witness(
     start = normalize_translation(lam)
     goal = normalize_translation(mu)
     parent: dict[tuple, Optional[tuple]] = {start.rows: None}
-    frontier = deque([start])
+    # a translate pair needs no search: the chain below is translations only
+    frontier = deque([start] if start.rows != goal.rows else [])
     while frontier:
         node = frontier.popleft()
         for move, raw in _neighbours(node):
@@ -438,5 +440,6 @@ def similarity_witness(
     if mu.min_content != 0:
         moves.append(("translate", mu.min_content))
         current = translate(current, mu.min_content)
-    assert current.rows == mu.rows
+    if current.rows != mu.rows:
+        raise WitnessReplayFailed(f"moves {moves} do not rebuild {mu.literal}")
     return moves

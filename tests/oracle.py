@@ -306,6 +306,23 @@ def brute_chrom_quasisym(n, edges, k):
     return out
 
 
+def llt_via_colourings(n, edges, k):
+    """dict[exponent vector][q power] -> count over all (not necessarily
+    proper) colourings, q counting edges (a < b) whose colour strictly
+    increases: the LLT polynomial of a unicellular strip read off its
+    inversion graph."""
+    out = {}
+    for col in product(range(1, k + 1), repeat=n):
+        asc = sum(1 for a, b in edges if col[a - 1] < col[b - 1])
+        exps = [0] * k
+        for c in col:
+            exps[c - 1] += 1
+        key = tuple(exps)
+        out.setdefault(key, {})
+        out[key][asc] = out[key].get(asc, 0) + 1
+    return out
+
+
 # ---- strict sequences from the raw definition -------------------------------
 
 def raw_strict_sequences(rows):

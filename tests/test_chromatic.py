@@ -22,7 +22,6 @@ from lltgraphs import (
 from lltgraphs.chromatic import VertexWeightedGraph, chrom_quasisym, from_weighted_graph
 from lltgraphs.compositions import compositions_of, concat, near_concat
 from lltgraphs.errors import NotUnicellular
-from lltgraphs.qsymfunc import multiply
 
 from oracle import brute_chrom_quasisym, brute_extended_chromatic
 
@@ -111,7 +110,7 @@ def test_path_product_splits_into_concatenations():
         for alpha in compositions_of(total_a):
             for total_b in range(1, 7 - total_a):
                 for beta in compositions_of(total_b):
-                    lhs = multiply(x(alpha), x(beta))
+                    lhs = x(alpha) * x(beta)
                     rhs = x(concat(alpha, beta)) + x(near_concat(alpha, beta))
                     assert lhs == rhs, (alpha, beta)
 
@@ -145,7 +144,7 @@ def test_cleared_path_product_identity():
     # q * G_a * G_b = G_{a.b} + (q-1) * G_{a(.)b} for single-cell a, b
     k = 2
     g1 = llt_poly(strip_of_composition((1,)), k)
-    lhs = multiply(g1, g1) * QPoly.q_power(1)
+    lhs = g1 * g1 * QPoly.q_power(1)
     cat = llt_poly(strip_of_composition((1, 1)), k)
     merged = llt_poly(strip_of_composition((2,)), k)
     rhs = cat + merged * QPoly({1: 1, 0: -1})

@@ -1,4 +1,7 @@
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lltgraphs import (
     QPoly,
@@ -9,17 +12,41 @@ from lltgraphs import (
     to_basis,
     two_row_schur,
 )
-from lltgraphs.errors import NotUnicellular, PreconditionViolated, ZeroPolynomial
-from lltgraphs.llt import llt_via_colourings, top_q_degree, validate_tableau
+from lltgraphs.errors import NotUnicellular, PreconditionViolated
+from lltgraphs.llt import validate_tableau
 from lltgraphs.qsymfunc import SymFunc
+from lltgraphs.strips import HorizontalStrip, Row
 
-from oracle import brute_inversions, brute_llt
+from oracle import brute_inversions, brute_llt, llt_via_colourings
 
 RUNNING = "4/0,5/4,8/5,6/1"
+MAX_FILLINGS = 2000
 
 
 def _poly_as_nested_dict(f):
     return {exps: dict(c.pairs()) for exps, c in f.terms()}
+
+
+def top_q_degree(f):
+    """Largest q-exponent appearing in any coefficient."""
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no top q-degree")
+    return max(c.degree for _, c in f.terms())
+
+
+def degree_multiset(graph):
+    degs = [0] * graph.n
+    for a, b in graph.edges:
+        degs[a - 1] += 1
+        degs[b - 1] += 1
+    return tuple(sorted(degs, reverse=True))
+
+
+def _fillings(rows, k):
+    out = 1
+    for lo, hi in rows:
+        out *= comb(k + hi - lo, hi - lo + 1)
+    return out
 
 
 def test_validate_tableau_checks_shape_and_rows():
@@ -61,11 +88,28 @@ def test_inversions_match_cell_pair_scan():
         ("1/0,2/1,2/0", 2),
         ("3/0,3/2", 3),
         ("4/0,5/4", 2),
+        ("3/0,2/1,4/2", 5),  # more variables than rows
+        (RUNNING, 1),  # every cell holds the letter 1
     ],
 )
 def test_llt_poly_matches_brute_enumeration(literal, k):
     strip = parse_strip(literal)
     rows = [(r.lo, r.hi) for r in strip.rows]
+    assert _poly_as_nested_dict(llt_poly(strip, k)) == brute_llt(rows, k)
+
+
+@settings(max_examples=100)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(-2, 4), st.integers(1, 3)), min_size=1, max_size=4
+    ),
+    k=st.integers(1, 4),
+)
+def test_llt_poly_matches_brute_enumeration_on_random_strips(rows, k):
+    rows = [(lo, lo + size - 1) for lo, size in rows]
+    while _fillings(rows, k) > MAX_FILLINGS:
+        k -= 1
+    strip = HorizontalStrip(tuple(Row(lo, hi) for lo, hi in rows))
     assert _poly_as_nested_dict(llt_poly(strip, k)) == brute_llt(rows, k)
 
 
@@ -87,7 +131,7 @@ def test_top_degree_is_total_edge_weight(sweep_main, sweep_main_polys):
 
 
 def test_top_degree_of_zero_polynomial_raises():
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(ValueError):
         top_q_degree(SymFunc.zero(2, 3))
 
 
@@ -125,8 +169,8 @@ def test_gamma_graph_of_five_cell_pair():
     assert g_mu.edges == frozenset(
         {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)}
     )
-    assert g_lam.degree_multiset() == (4, 2, 2, 2, 2)
-    assert g_mu.degree_multiset() == (3, 3, 3, 2, 1)
+    assert degree_multiset(g_lam) == (4, 2, 2, 2, 2)
+    assert degree_multiset(g_mu) == (3, 3, 3, 2, 1)
 
 
 def test_gamma_graph_rejects_wide_rows():
@@ -136,7 +180,9 @@ def test_gamma_graph_rejects_wide_rows():
 
 def test_colouring_route_agrees_with_tableau_route(sweep_uni):
     for strip in sweep_uni:
-        assert llt_via_colourings(gamma_graph(strip), 3) == llt_poly(strip, 3)
+        graph = gamma_graph(strip)
+        want = llt_via_colourings(graph.n, graph.edges, 3)
+        assert _poly_as_nested_dict(llt_poly(strip, 3)) == want
 
 
 def test_running_example_top_coefficient():

@@ -24,8 +24,10 @@ from lltgraphs.errors import (
     HypothesisViolated,
     IndexOutOfRange,
     PreconditionViolated,
+    WitnessReplayFailed,
 )
 from lltgraphs.strips import HorizontalStrip, Row
+from lltgraphs import structure
 from lltgraphs.structure import is_minimal_ncp, is_noncommuting_path
 
 from oracle import raw_strict_sequences
@@ -297,6 +299,25 @@ def test_witness_for_running_pair_replays_exactly():
         assert llt_poly(current, 4) == baseline, move
     assert current == mu
     assert apply_moves(lam, moves) == mu
+
+
+def test_witness_for_translate_pair_skips_the_search(monkeypatch):
+    def no_search(strip):
+        raise AssertionError("a translate pair needs no search")
+
+    monkeypatch.setattr(structure, "_neighbours", no_search)
+    lam = parse_strip("3/0,6/3,2/0")
+    mu = parse_strip("5/2,8/5,4/2")
+    assert similarity_witness(lam, mu) == [("translate", 2)]
+    assert similarity_witness(parse_strip("3/1,4/2"), parse_strip("2/0,3/1")) == [
+        ("translate", -1)
+    ]
+
+
+def test_witness_replay_check_raises_a_typed_error(monkeypatch):
+    monkeypatch.setattr(structure, "apply_move", lambda strip, move: strip)
+    with pytest.raises(WitnessReplayFailed):
+        similarity_witness(parse_strip("2/0,2/1"), parse_strip("2/1,2/0"))
 
 
 def test_witness_budget_exhaustion_returns_none():
