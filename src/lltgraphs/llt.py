@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NotUnicellular, PreconditionViolated
-from .qsymfunc import BasisExpansion, QPoly, SymFunc, _distinct_permutations
+from .qsymfunc import BasisExpansion, QPoly, SymFunc, _spread
 from .strips import HorizontalStrip, Row
 
 StripTableau = tuple[tuple[int, ...], ...]
@@ -163,12 +163,8 @@ def llt_poly(strip: HorizontalStrip, k: int | None = None) -> SymFunc:
             descend(step(layer, m), lam + (m,), left - m)
 
     descend({(0,) * len(rows): {0: 1}}, (), strip.cell_count)
-    terms = {}
-    for lam, poly in coeffs.items():
-        c = QPoly(poly)
-        for exps in _distinct_permutations(lam + (0,) * (k - len(lam))):
-            terms[exps] = c
-    return SymFunc(k, strip.cell_count, terms)
+    return _spread(k, strip.cell_count,
+                   ((lam, QPoly(poly)) for lam, poly in coeffs.items()))
 
 
 def two_row_schur(a: int, b: int, m: int) -> BasisExpansion:

@@ -3,17 +3,19 @@ variables with q-polynomial coefficients, and basis expansions.
 
 Everything is exact. Integer coefficients are the norm; fractions enter
 through power-sum expansions and the plethystic substitution and are
-kept as exact rationals, never floats. Equality of symmetric functions
-of degree d is certified by comparing polynomials in k >= d variables
-(or a smaller k when the caller can justify it; see to_basis).
+kept as exact rationals, never floats. A symmetric polynomial in k
+variables is determined by its m-coordinates, the coefficient of x^mu
+for each partition mu with at most k parts. Basis changes work in those
+coordinates only, against integer transition matrices counted from
+partitions (Macdonald, Symmetric Functions and Hall Polynomials, I.6).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
+from operator import sub
 
 from . import compositions as comps
 from .errors import (
@@ -24,6 +26,7 @@ from .errors import (
     NotSymmetric,
     ParseError,
     PreconditionViolated,
+    SingularTransitionMatrix,
 )
 
 BASES = ("m", "s", "h", "e", "p")
@@ -304,10 +307,6 @@ class SymFunc:
     def zero(cls, k: int, degree: int) -> "SymFunc":
         return cls(k, degree, None)
 
-    @classmethod
-    def one(cls, k: int) -> "SymFunc":
-        return cls(k, 0, {(0,) * k: QPoly.one()})
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -451,46 +450,6 @@ def _check_partition(lam) -> tuple[int, ...]:
     return lam
 
 
-def _weakly_increasing_rows(length: int, k: int, lower):
-    """Weakly increasing tuples (v_1..v_len), lower[j] <= v_j <= k."""
-    if length == 0:
-        yield ()
-        return
-    out = [0] * length
-
-    def rec(j: int, prev: int):
-        lo = max(prev, lower[j])
-        for v in range(lo, k + 1):
-            out[j] = v
-            if j + 1 == length:
-                yield tuple(out)
-            else:
-                yield from rec(j + 1, v)
-
-    yield from rec(0, 1)
-
-
-def _ssyt_monomials(lam: tuple[int, ...], k: int):
-    """Yield the content count-vector of every SSYT of shape lam with
-    entries at most k."""
-    rows = len(lam)
-
-    def rec(r: int, prev_row, counts):
-        if r == rows:
-            yield tuple(counts)
-            return
-        length = lam[r]
-        lower = [prev_row[j] + 1 if j < len(prev_row) else 1 for j in range(length)]
-        for row in _weakly_increasing_rows(length, k, lower):
-            for v in row:
-                counts[v - 1] += 1
-            yield from rec(r + 1, row, counts)
-            for v in row:
-                counts[v - 1] -= 1
-
-    yield from rec(0, (), [0] * k)
-
-
 def _distinct_permutations(items: tuple[int, ...]):
     """All distinct rearrangements, without generating duplicates."""
     pool: dict[int, int] = {}
@@ -513,60 +472,101 @@ def _distinct_permutations(items: tuple[int, ...]):
     yield from rec(0)
 
 
-def _one_part(basis: str, r: int, k: int) -> SymFunc:
-    terms: dict[tuple[int, ...], int] = {}
-    if basis == "h":
-        for counts in _ssyt_monomials((r,), k):
-            terms[counts] = terms.get(counts, 0) + 1
-    elif basis == "e":
-        if r > k:
-            return SymFunc.zero(k, r)
-        for pos in combinations(range(k), r):
-            e = [0] * k
-            for p in pos:
-                e[p] = 1
-            terms[tuple(e)] = 1
-    elif basis == "p":
-        for i in range(k):
-            e = [0] * k
-            e[i] = r
-            terms[tuple(e)] = 1
-    else:
-        raise ValueError(f"not a one-part basis: {basis}")
-    return SymFunc(k, r, terms)
+def _pad(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
+    return lam + (0,) * (k - len(lam))
+
+
+def _takes(r: int, caps):
+    """Vectors t with 0 <= t[i] <= caps[i] and sum r."""
+    if not caps:
+        if r == 0:
+            yield ()
+        return
+    spare = sum(caps[1:])
+    for t in range(max(0, r - spare), min(r, caps[0]) + 1):
+        for rest in _takes(r - t, caps[1:]):
+            yield (t,) + rest
+
+
+def _partition(vec) -> tuple[int, ...]:
+    return tuple(sorted(filter(None, vec), reverse=True))
+
+
+def _kostka(shape: tuple[int, ...], content: tuple[int, ...], memo: dict) -> int:
+    """K_{shape,content}, the number of semistandard tableaux of the shape
+    with the content, counted by removing the cells of the largest
+    letter: a horizontal strip, at most shape[i] - shape[i+1] from row i."""
+    if len(shape) > len(content):
+        return 0
+    if not content:
+        return 1
+    key = (shape, content)
+    hit = memo.get(key)
+    if hit is None:
+        caps = [a - b for a, b in zip(shape, shape[1:] + (0,))]
+        hit = memo[key] = sum(
+            _kostka(_partition(map(sub, shape, t)), content[:-1], memo)
+            for t in _takes(content[-1], caps)
+        )
+    return hit
+
+
+def _product_count(basis: str, parts: tuple[int, ...], room: tuple[int, ...],
+                   memo: dict) -> int:
+    """Coefficient of x^room in b_{parts[0]} b_{parts[1]} ... for b one of
+    h, e, p: the ways to give out each part over the coordinates of room,
+    any amounts for h, at most 1 per coordinate for e, one whole
+    coordinate for p. Memoised on room sorted, which the count ignores."""
+    if not parts:
+        return 1
+    key = (parts, room)
+    hit = memo.get(key)
+    if hit is None:
+        r = parts[0]
+        if basis == "p":
+            takes = [tuple(r * (i == j) for i in range(len(room)))
+                     for j, v in enumerate(room) if v >= r]
+        else:
+            takes = _takes(r, room if basis == "h" else [min(1, v) for v in room])
+        hit = memo[key] = sum(
+            _product_count(basis, parts[1:], _partition(map(sub, room, t)), memo)
+            for t in takes
+        )
+    return hit
+
+
+def _m_coefficient(basis: str, lam: tuple[int, ...], mu: tuple[int, ...],
+                   memo: dict) -> int:
+    """Coefficient of m_mu in the basis element b_lam, for partitions of
+    one size. The memo must serve a single basis and live for one call."""
+    if basis == "m":
+        return int(lam == mu)
+    if basis == "s":
+        return _kostka(lam, mu, memo)
+    return _product_count(basis, lam, mu, memo)
+
+
+def _spread(k: int, degree: int, coords) -> SymFunc:
+    """The polynomial in k variables with the given m-coordinates: each
+    (partition, coefficient) pair is copied to every rearrangement of the
+    partition padded to length k."""
+    terms = {}
+    for mu, c in coords:
+        if c:
+            for exps in _distinct_permutations(_pad(mu, k)):
+                terms[exps] = c
+    return SymFunc(k, degree, terms)
 
 
 def eval_basis(basis: str, lam, k: int) -> SymFunc:
     """The basis element named by partition lam, as an explicit
-    polynomial in k variables.
-
-    Schur elements come from the SSYT generating function; h, e, p are
-    products of their one-part generators; m is the monomial orbit sum.
-    A Schur or monomial element needing more than k rows evaluates to
-    the zero polynomial rather than raising.
+    polynomial in k variables: its m-coordinates, counted by
+    _m_coefficient, spread over the monomials. A Schur or monomial
+    element needing more than k rows evaluates to the zero polynomial
+    rather than raising.
     """
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-    if k < 1:
-        raise ValueError("need at least one variable")
     lam = _check_partition(lam)
-    degree = sum(lam)
-    if basis == "s":
-        if len(lam) > k:
-            return SymFunc.zero(k, degree)
-        terms: dict[tuple[int, ...], int] = {}
-        for counts in _ssyt_monomials(lam, k):
-            terms[counts] = terms.get(counts, 0) + 1
-        return SymFunc(k, degree, terms)
-    if basis == "m":
-        if len(lam) > k:
-            return SymFunc.zero(k, degree)
-        padded = lam + (0,) * (k - len(lam))
-        return SymFunc(k, degree, {e: 1 for e in _distinct_permutations(padded)})
-    out = SymFunc.one(k)
-    for part in lam:
-        out = out * _one_part(basis, part, k)
-    return out
+    return BasisExpansion(basis, sum(lam), {lam: 1}).evaluate(k)
 
 
 class BasisExpansion:
@@ -620,11 +620,18 @@ class BasisExpansion:
         return hash((self.basis, self.degree, frozenset(self._coeffs.items())))
 
     def evaluate(self, k: int) -> SymFunc:
-        """Expand back into an explicit polynomial in k variables."""
-        out = SymFunc.zero(k, self.degree)
-        for lam, c in self._coeffs.items():
-            out = out + eval_basis(self.basis, lam, k) * c
-        return out
+        """Expand back into an explicit polynomial in k variables: sum the
+        terms in m-coordinates, then spread the sums over the monomials."""
+        memo: dict = {}
+        coords = []
+        for mu in partitions_of(self.degree, max_len=k):
+            total = QPoly.zero()
+            for lam, c in self._coeffs.items():
+                count = _m_coefficient(self.basis, lam, mu, memo)
+                if count:
+                    total = total + c * count
+            coords.append((mu, total))
+        return _spread(k, self.degree, coords)
 
     def __str__(self):
         if not self._coeffs:
@@ -669,66 +676,42 @@ class BasisExpansion:
             raise ParseError(f"bad basis expansion JSON: {exc}") from None
 
 
-def _pad(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
-    return lam + (0,) * (k - len(lam))
+def _transition_matrix(basis: str, parts: list) -> list[list[Fraction]]:
+    """Row mu, column lam: the coefficient of m_mu in b_lam."""
+    memo: dict = {}
+    return [[Fraction(_m_coefficient(basis, lam, mu, memo)) for lam in parts]
+            for mu in parts]
 
 
-def _to_basis_triangular(f: SymFunc, basis: str) -> BasisExpansion:
+def _solve_triangular(basis: str, parts: list, coords: list) -> dict:
     # Schur and monomial bases are unitriangular against monomials in
-    # decreasing lexicographic order, so plain residual elimination works
-    # and integer inputs stay integer.
-    residual = f
+    # decreasing lexicographic order (K_{nu,lam} = 0 unless nu >= lam),
+    # so integer inputs stay integer.
+    memo: dict = {}
     coeffs: dict[tuple[int, ...], QPoly] = {}
-    for lam in partitions_of(f.degree, max_len=f.k):
-        c = residual.coeff(_pad(lam, f.k))
+    for lam, c in zip(parts, coords):
+        if basis == "s":
+            for nu, d in coeffs.items():
+                count = _kostka(nu, lam, memo)
+                if count:
+                    c = c - d * count
         if c.is_zero:
             continue
-        coeffs[lam] = c
-        residual = residual - eval_basis(basis, lam, f.k) * c
-    if not residual.is_zero:
-        raise NotSymmetric("residual left after eliminating all basis elements")
-    for lam, c in coeffs.items():
         if not c.is_integral:
             raise NonIntegralCoefficient(lam, c)
-    return BasisExpansion(basis, f.degree, coeffs)
+        coeffs[lam] = c
+    return coeffs
 
 
-def _to_basis_elimination(f: SymFunc, basis: str) -> BasisExpansion:
-    # h/e/p need k >= degree so that all partitions of the degree remain
-    # visible as monomial orbits; then an exact rational solve recovers
-    # the coefficients.
-    if f.k < f.degree:
-        raise InsufficientVariables(
-            f"{basis}-expansion of degree {f.degree} needs at least "
-            f"{f.degree} variables, got {f.k}"
-        )
-    parts = list(partitions_of(f.degree))
-    k = f.k
-
-    def m_coords(g: SymFunc) -> list[QPoly]:
-        return [g.coeff(_pad(mu, k)) for mu in parts]
-
-    n = len(parts)
-    cols = [m_coords(eval_basis(basis, lam, k)) for lam in parts]
-    matrix = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = cols[j][i]
-            val = entry.coeff(0)
-            if entry.degree not in (None, 0):
-                raise AssertionError("basis element with non-constant coefficient")
-            row.append(Fraction(val))
-        matrix.append(row)
-    rhs = m_coords(f)
-
+def _solve_elimination(basis: str, parts: list, coords: list) -> dict:
     # exact Gaussian elimination, Fraction pivots, QPoly right-hand side
+    matrix = _transition_matrix(basis, parts)
+    rhs = list(coords)
+    n = len(parts)
     for col in range(n):
-        pivot = next(
-            (r for r in range(col, n) if matrix[r][col] != 0), None
-        )
+        pivot = next((r for r in range(col, n) if matrix[r][col] != 0), None)
         if pivot is None:
-            raise AssertionError("singular basis matrix")
+            raise SingularTransitionMatrix(f"singular {basis}-transition matrix")
         matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
         rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
         inv = 1 / matrix[col][col]
@@ -738,15 +721,22 @@ def _to_basis_elimination(f: SymFunc, basis: str) -> BasisExpansion:
             if r != col and matrix[r][col]:
                 factor = matrix[r][col]
                 matrix[r] = [
-                    a - factor * b for a, b in zip(matrix[r], matrix[col])
+                    a - factor * b if b else a
+                    for a, b in zip(matrix[r], matrix[col])
                 ]
                 rhs[r] = rhs[r] - rhs[col] * factor
-    coeffs = {parts[i]: rhs[i] for i in range(n) if not rhs[i].is_zero}
-    return BasisExpansion(basis, f.degree, coeffs)
+    return {parts[i]: rhs[i] for i in range(n) if not rhs[i].is_zero}
 
 
 def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
     """Expand a symmetric homogeneous polynomial in the named basis.
+
+    Past the symmetry check, only the m-coordinates of f are read: the
+    coefficient of x^mu for each partition mu with at most k parts,
+    padded with zeros. The s and m expansions come from a unitriangular
+    solve against Kostka numbers (nothing to solve for m); h, e and p
+    from an exact elimination against their counted transition matrix,
+    which needs every partition of the degree, so k >= degree.
 
     Raises NotSymmetric if f fails the symmetry check,
     InsufficientVariables when basis is h, e or p and k < degree, and
@@ -758,9 +748,15 @@ def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
     f.assert_symmetric()
     if f.is_zero:
         return BasisExpansion(basis, f.degree, None)
-    if basis in ("s", "m"):
-        return _to_basis_triangular(f, basis)
-    return _to_basis_elimination(f, basis)
+    if basis not in ("s", "m") and f.k < f.degree:
+        raise InsufficientVariables(
+            f"{basis}-expansion of degree {f.degree} needs at least "
+            f"{f.degree} variables, got {f.k}"
+        )
+    parts = list(partitions_of(f.degree, max_len=f.k))
+    coords = [f.coeff(_pad(mu, f.k)) for mu in parts]
+    solve = _solve_triangular if basis in ("s", "m") else _solve_elimination
+    return BasisExpansion(basis, f.degree, solve(basis, parts, coords))
 
 
 def ribbon(alpha, k: int) -> SymFunc:
@@ -772,12 +768,11 @@ def ribbon(alpha, k: int) -> SymFunc:
         raise InsufficientVariables(
             f"ribbon of size {sum(alpha)} needs at least {sum(alpha)} variables"
         )
-    out = SymFunc.zero(k, sum(alpha))
-    sign_base = len(alpha)
-    for lam, mult in comps.coarsening_multiset(alpha).items():
-        sign = -1 if (sign_base - len(lam)) % 2 else 1
-        out = out + eval_basis("h", lam, k) * (sign * mult)
-    return out
+    coeffs = {
+        lam: -mult if (len(alpha) - len(lam)) % 2 else mult
+        for lam, mult in comps.coarsening_multiset(alpha).items()
+    }
+    return BasisExpansion("h", sum(alpha), coeffs).evaluate(k)
 
 
 def plethystic_q_substitute(exp: BasisExpansion) -> BasisExpansion:

@@ -1,22 +1,41 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lltgraphs import BasisExpansion, QPoly, SymFunc, eval_basis, ribbon, to_basis
+from lltgraphs import (
+    BasisExpansion,
+    QPoly,
+    SymFunc,
+    eval_basis,
+    llt_poly,
+    parse_strip,
+    ribbon,
+    to_basis,
+)
+from lltgraphs import qsymfunc
 from lltgraphs.compositions import compositions_of, multiset_equal
 from lltgraphs.errors import (
     InexactDivision,
     InsufficientVariables,
     NotSymmetric,
+    PreconditionError,
     PreconditionViolated,
+    SingularTransitionMatrix,
 )
 from lltgraphs.qsymfunc import (
+    BASES,
+    _m_coefficient,
     divide_qpoly,
     partitions_of,
     plethystic_q_substitute,
 )
+from lltgraphs.strips import HorizontalStrip, Row
 
-from oracle import brute_basis, brute_ribbon
+from oracle import brute_basis, brute_llt, brute_ribbon, kostka
+
+MAX_FILLINGS = 2000
 
 
 # ---- QPoly ------------------------------------------------------------------
@@ -89,6 +108,103 @@ def test_to_basis_inverts_eval_basis(basis):
         for lam in partitions_of(n):
             exp = to_basis(eval_basis(basis, lam, 6), basis)
             assert dict(exp.items()) == {lam: QPoly.one()}, (basis, lam)
+
+
+# ---- transition coefficients and basis change against the oracle --------------
+
+def _pad(mu, k):
+    return tuple(mu) + (0,) * (k - len(mu))
+
+
+def test_kostka_counts_match_oracle():
+    for n in range(1, 8):
+        memo = {}
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                assert _m_coefficient("s", lam, mu, memo) == kostka(lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("basis", ["h", "e", "p"])
+def test_product_counts_match_brute_force(basis):
+    for n in range(1, 7):
+        memo = {}
+        for lam in partitions_of(n):
+            brute = brute_basis(basis, lam, n)
+            for mu in partitions_of(n):
+                got = _m_coefficient(basis, lam, mu, memo)
+                assert got == brute.get(_pad(mu, n), 0), (basis, lam, mu)
+
+
+def _fillings(rows, k):
+    out = 1
+    for lo, hi in rows:
+        out *= comb(k + hi - lo, hi - lo + 1)
+    return out
+
+
+def _re_expand(exp, k):
+    """An expansion summed back through the oracle's basis elements, in
+    the exponent vector -> {q power: coefficient} form of brute_llt."""
+    out = {}
+    for lam, c in exp.items():
+        for exps, n in brute_basis(exp.basis, lam, k).items():
+            slot = out.setdefault(exps, {})
+            for e, a in c.pairs():
+                slot[e] = slot.get(e, 0) + n * a
+    out = {exps: {e: a for e, a in d.items() if a} for exps, d in out.items()}
+    return {exps: d for exps, d in out.items() if d}
+
+
+@settings(max_examples=100)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(-2, 4), st.integers(1, 3)), min_size=1, max_size=4
+    ),
+    basis=st.sampled_from(BASES),
+    k=st.integers(1, 12),
+)
+def test_to_basis_re_expands_to_the_brute_polynomial(rows, basis, k):
+    # h, e and p need k >= cells, so the strip is cut down to stay cheap;
+    # s and m take any k, including ones below the cell count where the
+    # expansion is truncated to partitions with at most k parts
+    rows = [(lo, lo + size - 1) for lo, size in rows]
+
+    def cells():
+        return sum(hi - lo + 1 for lo, hi in rows)
+
+    if basis in "hep":
+        while _fillings(rows, cells()) > MAX_FILLINGS:
+            rows.pop()
+        k = cells()
+    else:
+        k = min(k, cells())
+        while _fillings(rows, k) > MAX_FILLINGS:
+            k -= 1
+    strip = HorizontalStrip(tuple(Row(lo, hi) for lo, hi in rows))
+    exp = to_basis(llt_poly(strip, k), basis)
+    assert _re_expand(exp, k) == brute_llt(rows, k)
+
+
+def test_to_basis_multiplies_no_polynomials(monkeypatch):
+    f = llt_poly(parse_strip("3/0,5/3,2/0"), 7)
+    want = {basis: to_basis(f, basis) for basis in BASES}
+
+    def refuse(self, other):
+        raise RuntimeError("to_basis built a polynomial product")
+
+    monkeypatch.setattr(SymFunc, "__mul__", refuse)
+    for basis in BASES:
+        assert to_basis(f, basis) == want[basis], basis
+
+
+def test_singular_transition_matrix_is_a_typed_fault(monkeypatch):
+    def singular(basis, parts):
+        return [[Fraction(0)] * len(parts) for _ in parts]
+
+    monkeypatch.setattr(qsymfunc, "_transition_matrix", singular)
+    with pytest.raises(SingularTransitionMatrix) as caught:
+        to_basis(eval_basis("h", (2, 1), 3), "h")
+    assert not isinstance(caught.value, PreconditionError)
 
 
 def test_to_basis_rejects_asymmetric_input():
