@@ -11,7 +11,7 @@ companion graphs, and bounded realization of a graph by a strip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 from .errors import (
     IndexOutOfRange,
@@ -152,27 +152,78 @@ def is_isomorphic(g: WeightedGraph, h: WeightedGraph):
 
 
 def canonical_form(g: WeightedGraph):
-    """Total isomorphism invariant: lexicographically minimal
-    (sorted weights, edge matrix read off above the diagonal) over all
-    orderings that list vertices by increasing weight."""
-    order_by_weight = sorted(range(g.n), key=lambda v: (g.weights[v], v))
-    classes: list[list[int]] = []
-    for v in order_by_weight:
-        if classes and g.weights[classes[-1][0]] == g.weights[v]:
-            classes[-1].append(v)
-        else:
-            classes.append([v])
-    best = None
-    for arrangement in product(*(permutations(c) for c in classes)):
-        order = [v for chunk in arrangement for v in chunk]
-        key = tuple(
-            g.matrix[order[a]][order[b]]
-            for a in range(g.n)
-            for b in range(a + 1, g.n)
+    """Total isomorphism invariant: two graphs have equal forms exactly
+    when they are isomorphic.
+
+    The vertices start in cells of equal weight, by increasing weight.
+    Colour refinement then splits every cell by the sorted multiset of
+    (neighbour's cell, edge weight) over its nonzero edges, ordering the
+    new cells by that signature, until no cell splits. While a cell
+    holds more than one vertex, the first such cell is individualised
+    one vertex at a time, each branch refined again. A vertex is skipped
+    when it is a twin of one already tried (equal matrix rows off the
+    pair), since swapping twins is an automorphism fixing the branch.
+    Each leaf orders all vertices; the least upper-triangle edge matrix
+    read in a leaf order is the key.
+
+    The value is opaque: use it only for equality and hashing.
+    """
+    n = g.n
+    neighbours = [
+        [(u, w) for u, w in enumerate(row) if w] for row in g.matrix
+    ]
+
+    def refine(cells: list[list[int]]) -> list[list[int]]:
+        while True:
+            cell_of = [0] * n
+            for index, cell in enumerate(cells):
+                for v in cell:
+                    cell_of[v] = index
+            split: list[list[int]] = []
+            for cell in cells:
+                groups: dict[tuple, list[int]] = {}
+                for v in cell:
+                    signature = tuple(
+                        sorted((cell_of[u], w) for u, w in neighbours[v])
+                    )
+                    groups.setdefault(signature, []).append(v)
+                split.extend(groups[s] for s in sorted(groups))
+            if len(split) == len(cells):
+                return cells
+            cells = split
+
+    def twins(u: int, v: int) -> bool:
+        row_u, row_v = g.matrix[u], g.matrix[v]
+        return all(
+            row_u[x] == row_v[x] for x in range(n) if x != u and x != v
         )
-        if best is None or key < best:
-            best = key
-    return (tuple(g.weights[v] for v in order_by_weight), best)
+
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(g.weights[v], []).append(v)
+    best = None
+    pending = [[classes[w] for w in sorted(classes)]]
+    while pending:
+        cells = refine(pending.pop())
+        target = next((t for t, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            order = [cell[0] for cell in cells]
+            key = tuple(
+                g.matrix[order[a]][order[b]]
+                for a in range(n)
+                for b in range(a + 1, n)
+            )
+            if best is None or key < best:
+                best = key
+            continue
+        tried: list[int] = []
+        for v in cells[target]:
+            if any(twins(u, v) for u in tried):
+                continue
+            tried.append(v)
+            rest = [u for u in cells[target] if u != v]
+            pending.append(cells[:target] + [[v], rest] + cells[target + 1:])
+    return (tuple(sorted(g.weights)), best)
 
 
 def predict_dc_graphs(g: WeightedGraph, i: int, j: int, mij: int):

@@ -5,7 +5,12 @@ nothing from the package, so a library bug cannot hide inside its own
 oracle.
 """
 
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    product,
+)
 
 
 # ---- interval arithmetic ---------------------------------------------------
@@ -270,6 +275,34 @@ def coarsenings_rec(alpha):
         out.add((alpha[0],) + rest)
         out.add((alpha[0] + rest[0],) + rest[1:])
     return out
+
+
+# ---- weighted graphs --------------------------------------------------------
+
+def _edge_map(edges):
+    return {frozenset((i, j)): w for i, j, w in edges if w}
+
+
+def brute_isomorphic(weights_a, edges_a, weights_b, edges_b):
+    """Whether some bijection of the vertices carries weights and edge
+    weights of graph a onto graph b; edges are 1-based (i, j, weight),
+    weight zero meaning no edge. Tries every permutation."""
+    n = len(weights_a)
+    if n != len(weights_b):
+        return False
+    a = _edge_map(edges_a)
+    b = _edge_map(edges_b)
+    if len(a) != len(b):
+        return False
+    for perm in permutations(range(1, n + 1)):
+        if any(weights_b[perm[v] - 1] != weights_a[v] for v in range(n)):
+            continue
+        if all(
+            b.get(frozenset(perm[t - 1] for t in pair)) == w
+            for pair, w in a.items()
+        ):
+            return True
+    return False
 
 
 # ---- colourings -------------------------------------------------------------

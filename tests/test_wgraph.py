@@ -1,7 +1,10 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from lltgraphs import (
     WeightedGraph,
@@ -15,12 +18,16 @@ from lltgraphs import (
     predict_dc_graphs,
     realize,
 )
+from lltgraphs.cli import main
 from lltgraphs.errors import (
     IndexOutOfRange,
     NotRealizedWithinBound,
     PreconditionViolated,
 )
+from lltgraphs.strips import HorizontalStrip, Row
 from lltgraphs.wgraph import labelled_to_weighted, llt_of_graph
+
+from oracle import brute_isomorphic
 
 DATA = Path(__file__).parent / "data"
 
@@ -147,3 +154,156 @@ def test_labelled_to_weighted_forgets_labels():
     g = labelled_to_weighted(gamma)
     assert g.weights == (1, 1)
     assert g.edge_list() == [(1, 2, 1)]
+
+
+@st.composite
+def weighted_graphs(draw, n=None):
+    """Vertex weights 1-3; each pair gets an edge weight up to the
+    smaller endpoint weight, zero meaning no edge."""
+    if n is None:
+        n = draw(st.integers(1, 7))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    edges = [
+        (i + 1, j + 1, draw(st.integers(0, min(weights[i], weights[j]))))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    return WeightedGraph.from_edges(weights, edges)
+
+
+def relabel(g, perm):
+    """The graph with vertex v of g renamed perm[v] (0-based)."""
+    weights = [0] * g.n
+    for v, w in enumerate(g.weights):
+        weights[perm[v]] = w
+    edges = [(perm[i - 1] + 1, perm[j - 1] + 1, w) for i, j, w in g.edge_list()]
+    return WeightedGraph.from_edges(weights, edges)
+
+
+@st.composite
+def graph_pairs(draw):
+    g = draw(weighted_graphs())
+    if draw(st.booleans()):
+        return g, relabel(g, draw(st.permutations(range(g.n))))
+    return g, draw(weighted_graphs(n=g.n))
+
+
+@settings(max_examples=200)
+@given(pair=graph_pairs())
+def test_canonical_form_equality_matches_brute_isomorphism(pair):
+    g, h = pair
+    expected = brute_isomorphic(
+        g.weights, g.edge_list(), h.weights, h.edge_list()
+    )
+    assert (canonical_form(g) == canonical_form(h)) == expected
+    assert (is_isomorphic(g, h) is not None) == expected
+
+
+def cycles(*lengths):
+    """Disjoint unit-weight cycles of the given lengths."""
+    edges, base = [], 0
+    for length in lengths:
+        edges += [
+            (base + t + 1, base + (t + 1) % length + 1, 1) for t in range(length)
+        ]
+        base += length
+    return WeightedGraph.from_edges((1,) * base, edges)
+
+
+def complete(n, weight, edge):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return WeightedGraph.from_edges((weight,) * n, [(i, j, edge) for i, j in pairs])
+
+
+def matching(weight, edges):
+    """Disjoint edges (2t+1, 2t+2) with the given edge weights."""
+    return WeightedGraph.from_edges(
+        (weight,) * (2 * len(edges)),
+        [(2 * t + 1, 2 * t + 2, e) for t, e in enumerate(edges)],
+    )
+
+
+def lighter_edge(g, i, j):
+    """g with the weight of its nonzero edge (i, j) lowered by one."""
+    matrix = [list(row) for row in g.matrix]
+    matrix[i - 1][j - 1] -= 1
+    matrix[j - 1][i - 1] -= 1
+    return WeightedGraph(g.weights, tuple(tuple(row) for row in matrix))
+
+
+# a 12-row strip whose rows all have two cells
+TWELVE_ROWS = HorizontalStrip(
+    tuple(Row(lo, lo + 1) for lo in (2, 4, 4, 1, 2, 4, 3, 5, 4, 0, 4, 0))
+)
+
+SYMMETRIC = {
+    "edgeless-10": WeightedGraph.from_edges((1,) * 10, []),
+    "edgeless-12": WeightedGraph.from_edges((1,) * 12, []),
+    "complete-11": complete(11, 1, 1),
+    "complete-12": complete(12, 2, 2),
+    "matching-12": matching(1, [1] * 6),
+    "cycle-12": cycles(12),
+    "two-6-cycles": cycles(6, 6),
+    "four-triangles": cycles(3, 3, 3, 3),
+    "cycles-3-4-5": cycles(3, 4, 5),
+    "twelve-row-strip": pi_graph(TWELVE_ROWS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_canonical_form_of_symmetric_graph_survives_relabelling(name):
+    g = SYMMETRIC[name]
+    rng = random.Random(name)
+    form = canonical_form(g)
+    for _ in range(5):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_form(relabel(g, perm)) == form
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        (cycles(12), cycles(6, 6)),
+        (cycles(6, 6), cycles(4, 4, 4)),
+        (cycles(6, 6), cycles(3, 3, 3, 3)),
+        (
+            WeightedGraph.from_edges((1,) * 12, []),
+            WeightedGraph.from_edges((1,) * 12, [(3, 7, 1)]),
+        ),
+        (complete(12, 2, 2), lighter_edge(complete(12, 2, 2), 5, 9)),
+        (matching(2, [1, 1, 1, 2, 2, 2]), matching(2, [1, 1, 2, 2, 2, 2])),
+        (pi_graph(TWELVE_ROWS), lighter_edge(pi_graph(TWELVE_ROWS), 2, 3)),
+    ],
+    ids=[
+        "cycle-12-vs-two-6-cycles",
+        "two-6-cycles-vs-three-4-cycles",
+        "two-6-cycles-vs-four-triangles",
+        "edgeless-vs-one-edge",
+        "complete-vs-one-lighter-edge",
+        "matching-edge-weights",
+        "twelve-row-strip-vs-one-lighter-edge",
+    ],
+)
+def test_canonical_forms_of_near_miss_pairs_differ(g, h):
+    assert canonical_form(g) != canonical_form(h)
+
+
+@settings(max_examples=100)
+@given(g=weighted_graphs())
+def test_graph_json_text_round_trip(g):
+    assert WeightedGraph.from_json_dict(json.loads(json.dumps(g.to_json_dict()))) == g
+
+
+@settings(max_examples=50)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(-2, 4), st.integers(1, 4)), min_size=1, max_size=6
+    )
+)
+def test_pi_cli_payload_loads_back_to_the_graph(rows):
+    strip = HorizontalStrip(tuple(Row(lo, lo + size - 1) for lo, size in rows))
+    result = CliRunner().invoke(main, ["pi", "--strip", strip.literal])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)["result"]
+    assert WeightedGraph.from_json_dict(payload) == pi_graph(strip)
