@@ -18,7 +18,6 @@ from .errors import (
     GraphsNotIsomorphic,
     HypothesisViolated,
     IndexOutOfRange,
-    NonCommutingSwap,
     PreconditionViolated,
     WitnessReplayFailed,
 )
@@ -29,7 +28,6 @@ from .strips import (
     commutes,
     cycle,
     m_ij,
-    normalize_translation,
     prec,
     rotate,
     translate,
@@ -37,6 +35,7 @@ from .strips import (
 from .wgraph import canonical_form, pi_graph
 
 Move = tuple
+State = tuple  # rows as (lo, hi) pairs, minimum content 0
 
 
 @dataclass(frozen=True)
@@ -371,19 +370,45 @@ def apply_moves(strip: HorizontalStrip, moves: list[Move]) -> HorizontalStrip:
     return strip
 
 
-def _neighbours(strip: HorizontalStrip) -> Iterator[tuple[Move, HorizontalStrip]]:
-    yield ("cycle",), cycle(strip)
-    yield ("rotate", 0), rotate(strip, 0)
-    for t in range(1, strip.n):
-        try:
-            yield ("commute_swap", t), commute_swap(strip, t)
-        except NonCommutingSwap:
+def _state(strip: HorizontalStrip) -> State:
+    """The strip's rows as (lo, hi) pairs, translated to minimum content 0."""
+    low = strip.min_content
+    return tuple((r.lo - low, r.hi - low) for r in strip.rows)
+
+
+def _pairs_commute(r: tuple[int, int], s: tuple[int, int]) -> bool:
+    """commutes() on (lo, hi) pairs.  With r starting strictly left of s,
+    the pairing shifts r right by one in one order only, which changes the
+    overlap unless s ends inside r or a free content separates them."""
+    (a, b), (c, d) = sorted((r, s))
+    return a == c or d <= b or b + 2 <= c
+
+
+def _neighbours(state: State) -> Iterator[tuple[Move, State]]:
+    """The search's moves from a normalised state, each result normalised:
+    cycle, rotate 0, every allowed commute_swap, then every allowed
+    local_rotate."""
+    n = len(state)
+    (lo, hi), rest = state[0], state[1:]
+    # the cycled row drops by one, so the minimum falls to -1 when it held 0
+    shift = 1 if lo == 0 else 0
+    yield ("cycle",), tuple((a + shift, b + shift) for a, b in rest) + (
+        (lo - 1 + shift, hi - 1 + shift),
+    )
+    top = max(b for _, b in state)
+    yield ("rotate", 0), tuple((top - b, top - a) for a, b in reversed(state))
+    for t in range(1, n):
+        left, right = state[t - 1], state[t]
+        if _pairs_commute(left, right):
+            yield ("commute_swap", t), state[: t - 1] + (right, left) + state[t + 1 :]
+    for t in range(2, n + 1):
+        if state[t - 1][0] != state[t - 2][1] + 1:
             continue
-    for t in range(2, strip.n + 1):
         try:
-            yield ("local_rotate", t), local_rotate(strip, t)
-        except (PreconditionViolated, HypothesisViolated, BlockNotSeparable):
+            rotated = local_rotate(HorizontalStrip(tuple(Row(a, b) for a, b in state)), t)
+        except (HypothesisViolated, BlockNotSeparable):
             continue
+        yield ("local_rotate", t), _state(rotated)
 
 
 def similarity_witness(
@@ -392,38 +417,39 @@ def similarity_witness(
     """Breadth-first search for a move sequence turning lam into mu exactly.
 
     Moves are ("translate", d), ("cycle",), ("rotate", c), ("commute_swap", i)
-    and ("local_rotate", i).  States are deduplicated after shifting the
-    minimum content to 0; the search stops after `budget` distinct states.
-    Returns None when the budget runs out -- absence proves nothing.
+    and ("local_rotate", i).  The search runs over states that are the rows
+    as (lo, hi) pairs shifted to minimum content 0; it stops after `budget`
+    distinct states, which must be at least 1.  Returns None when the budget
+    runs out -- absence proves nothing.
     """
+    if budget < 1:
+        raise PreconditionViolated(f"the state budget must be at least 1, got {budget}")
     if canonical_form(pi_graph(lam)) != canonical_form(pi_graph(mu)):
         raise GraphsNotIsomorphic("the two strips' weighted graphs are not isomorphic")
     if lam.rows == mu.rows:
         return []
-    start = normalize_translation(lam)
-    goal = normalize_translation(mu)
-    parent: dict[tuple, Optional[tuple]] = {start.rows: None}
+    start = _state(lam)
+    goal = _state(mu)
+    parent: dict[State, Optional[tuple[State, Move]]] = {start: None}
     # a translate pair needs no search: the chain below is translations only
-    frontier = deque([start] if start.rows != goal.rows else [])
+    frontier = deque([start] if start != goal else [])
     while frontier:
         node = frontier.popleft()
-        for move, raw in _neighbours(node):
-            nxt = normalize_translation(raw)
-            if nxt.rows in parent:
+        for move, nxt in _neighbours(node):
+            if nxt in parent:
                 continue
-            parent[nxt.rows] = (node.rows, move)
-            if nxt.rows == goal.rows or len(parent) >= budget:
+            parent[nxt] = (node, move)
+            if nxt == goal or len(parent) >= budget:
                 frontier.clear()
                 break
             frontier.append(nxt)
-    if goal.rows not in parent:
+    if goal not in parent:
         return None
     chain = []
-    key = goal.rows
+    key = goal
     while parent[key] is not None:
-        prev_key, move = parent[key]
+        key, move = parent[key]
         chain.append(move)
-        key = prev_key
     chain.reverse()
 
     moves: list[Move] = []

@@ -122,8 +122,11 @@ def labelled_to_weighted(graph: LabelledGraph) -> WeightedGraph:
 def is_isomorphic(g: WeightedGraph, h: WeightedGraph):
     """First weight- and edge-preserving bijection in lexicographic
     order (1-based tuple, position i holding the image of vertex i), or
-    None."""
-    if g.n != h.n or sorted(g.weights) != sorted(h.weights):
+    None.
+
+    Canonical forms are compared first, so a non-isomorphic pair is
+    answered without the vertex-by-vertex search."""
+    if canonical_form(g) != canonical_form(h):
         return None
     n = g.n
     image = [0] * n

@@ -195,6 +195,27 @@ def test_analyze_witness_needs_other(runner):
     }
 
 
+def test_analyze_witness_rejects_a_budget_below_one(runner):
+    for budget in ("0", "-3"):
+        result = invoke(
+            runner,
+            "analyze",
+            "--strip",
+            "2/0,2/1",
+            "--report",
+            "witness",
+            "--other",
+            "2/1,2/0",
+            "--budget",
+            budget,
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["error"]["type"] == "PreconditionViolated"
+        assert err["error"]["exit_code"] == 3
+
+
 def test_analyze_rejects_unknown_report(runner):
     result = invoke(runner, "analyze", "--strip", "2/0", "--report", "bogus")
     assert result.exit_code == 2

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lltgraphs import (
     NoncommutingPath,
@@ -23,10 +24,18 @@ from lltgraphs.errors import (
     GraphsNotIsomorphic,
     HypothesisViolated,
     IndexOutOfRange,
+    NonCommutingSwap,
     PreconditionViolated,
     WitnessReplayFailed,
 )
-from lltgraphs.strips import HorizontalStrip, Row
+from lltgraphs.strips import (
+    HorizontalStrip,
+    Row,
+    commute_swap,
+    cycle,
+    normalize_translation,
+    rotate,
+)
 from lltgraphs import structure
 from lltgraphs.structure import is_minimal_ncp, is_noncommuting_path
 
@@ -324,3 +333,128 @@ def test_witness_budget_exhaustion_returns_none():
     lam = parse_strip("4/0,5/4,8/5,6/1")
     mu = parse_strip("5/4,9/5,7/2,3/0")
     assert similarity_witness(lam, mu, budget=2) is None
+
+
+def test_witness_rejects_a_budget_below_one():
+    lam, mu = parse_strip("2/0,2/1"), parse_strip("2/1,2/0")
+    for budget in (0, -3):
+        with pytest.raises(PreconditionViolated):
+            similarity_witness(lam, mu, budget=budget)
+    # the least budget is accepted; it stops at the first new state
+    assert similarity_witness(lam, mu, budget=1) is None
+
+
+# Witnesses for walk pairs of the benchmark's witness workload.  Breadth-first
+# search returns the first chain it meets, so these pin the order in which
+# _neighbours yields moves.
+PINNED_WITNESSES = [
+    (
+        "7/4,12/9,15/12,19/16,7/4,24/21,3/0",
+        "7/4,12/9,15/12,19/16,3/0,7/4,24/21",
+        [("commute_swap", 6), ("commute_swap", 5)],
+    ),
+    (
+        "8/7,8/7,5/4,6/5,1/0,3/2,2/1",
+        "2/1,3/2,1/0,-2/-3,-1/-2,-4/-5,-4/-5",
+        [("rotate", 0), ("translate", 7), ("commute_swap", 2), ("translate", -5)],
+    ),
+    (
+        "12/10,8/6,11/9,15/13,2/0,8/6,12/10",
+        "12/10,8/6,15/13,11/9,12/10,2/0,8/6",
+        [("commute_swap", 3), ("commute_swap", 6), ("commute_swap", 5)],
+    ),
+    (
+        "2/0,6/4,3/1,5/3,8/6,13/11,13/11,4/2",
+        "-12/-14,-3/-5,-12/-14,-7/-9,-4/-6,-5/-7,-2/-4,-1/-3",
+        [
+            ("rotate", 0),
+            ("translate", 12),
+            ("commute_swap", 1),
+            ("commute_swap", 6),
+            ("translate", -14),
+        ],
+    ),
+    (
+        "25/22,21/18,5/2,3/0,4/1,14/11,19/16,9/6",
+        "5/2,21/18,3/0,4/1,14/11,19/16,24/21,9/6",
+        [("cycle",), ("commute_swap", 1), ("commute_swap", 7)],
+    ),
+    (
+        "1/0,2/1,4/1",
+        "3/0,4/3,2/1",
+        [("rotate", 0), ("translate", 3), ("commute_swap", 1), ("cycle",)],
+    ),
+    (
+        "6/4,6/4,3/0",
+        "2/0,2/0,5/2",
+        [("cycle",), ("local_rotate", 3)],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "source, target, moves",
+    PINNED_WITNESSES,
+    ids=[f"{s.count(',') + 1}-rows-{i}" for i, (s, _, _) in enumerate(PINNED_WITNESSES)],
+)
+def test_witness_moves_are_pinned(source, target, moves):
+    assert similarity_witness(parse_strip(source), parse_strip(target)) == moves
+
+
+def test_fixed_miss_pair_runs_out_of_budget():
+    # same weighted graph, but no move chain within 20,000 states
+    lam, mu = parse_strip("2/0,4/1,7/4"), parse_strip("3/0,4/2,7/4")
+    assert similarity_witness(lam, mu, budget=20_000) is None
+
+
+# ---- the search's moves against the public moves ---------------------------------
+
+def public_neighbours(strip):
+    """The search's move list built from the public moves, each result
+    translated to minimum content 0, as (move, rows) pairs."""
+    found = [(("cycle",), cycle(strip)), (("rotate", 0), rotate(strip, 0))]
+    for t in range(1, strip.n):
+        try:
+            found.append((("commute_swap", t), commute_swap(strip, t)))
+        except NonCommutingSwap:
+            pass
+    for t in range(2, strip.n + 1):
+        try:
+            found.append((("local_rotate", t), local_rotate(strip, t)))
+        except (PreconditionViolated, HypothesisViolated, BlockNotSeparable):
+            pass
+    return [
+        (move, tuple((r.lo, r.hi) for r in normalize_translation(out).rows))
+        for move, out in found
+    ]
+
+
+def search_neighbours(strip):
+    state = tuple((r.lo, r.hi) for r in normalize_translation(strip).rows)
+    return list(structure._neighbours(state))
+
+
+def test_nested_strip_offers_a_local_rotation():
+    # row 3 holds rows 1 and 2, which sit end to end
+    moves = [move for move, _ in search_neighbours(parse_strip("2/0,4/2,5/0"))]
+    assert ("local_rotate", 2) in moves
+
+
+@st.composite
+def small_strips(draw):
+    """1-6 rows of 1-4 cells, every content in 0..8."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo = draw(st.integers(0, 8))
+        size = draw(st.integers(1, min(4, 9 - lo)))
+        rows.append(Row(lo, lo + size - 1))
+    return HorizontalStrip(tuple(rows))
+
+
+@settings(max_examples=400)
+@given(strip=small_strips())
+@example(strip=parse_strip("4/0,5/4,8/5,6/1"))
+@example(strip=parse_strip("2/0,4/2,5/0"))
+@example(strip=parse_strip("2/0,2/0,5/2"))
+def test_search_moves_match_public_moves(strip):
+    assert search_neighbours(strip) == public_neighbours(strip)

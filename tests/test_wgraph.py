@@ -196,7 +196,20 @@ def test_canonical_form_equality_matches_brute_isomorphism(pair):
         g.weights, g.edge_list(), h.weights, h.edge_list()
     )
     assert (canonical_form(g) == canonical_form(h)) == expected
-    assert (is_isomorphic(g, h) is not None) == expected
+    perm = is_isomorphic(g, h)
+    if not expected:
+        assert perm is None
+        return
+    assert relabel(g, [t - 1 for t in perm]) == h
+
+
+def test_is_isomorphic_answers_a_near_miss_without_searching():
+    # without comparing canonical forms first, the backtrack tries nearly
+    # every bijection before giving up
+    g = WeightedGraph.from_edges((1,) * 11, [])
+    h = WeightedGraph.from_edges((1,) * 11, [(4, 9, 1)])
+    assert is_isomorphic(g, h) is None
+    assert is_isomorphic(h, g) is None
 
 
 def cycles(*lengths):
