@@ -115,7 +115,9 @@ def extended_chromatic(graph: VertexWeightedGraph, k: int) -> SymFunc:
 
 
 def chrom_quasisym(graph: LabelledGraph, k: int) -> SymFunc:
-    """Proper colourings of a labelled graph, weighted by q^(ascents)."""
+    """Proper colourings of a labelled graph, weighted by q^(ascents).
+    The sum must be symmetric, as it is on the graphs gamma_graph builds;
+    otherwise NotSymmetric is raised."""
     if k < 1:
         raise ValueError("need at least one colour")
     n = graph.n

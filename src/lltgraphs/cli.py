@@ -291,9 +291,10 @@ def cmd_chromatic(graph_text, strip_text, k, fmt):
             raise ParseError("give exactly one of --graph or --strip")
         if graph_text is not None:
             graph = from_weighted_graph(_load_graph(graph_text))
-            return symfunc_payload(extended_chromatic(graph, k or graph.n)), False
+            f = extended_chromatic(graph, graph.n if k is None else k)
+            return symfunc_payload(f), False
         cells = gamma_graph(parse_strip(strip_text))
-        return symfunc_payload(chrom_quasisym(cells, k or cells.n)), False
+        return symfunc_payload(chrom_quasisym(cells, cells.n if k is None else k)), False
 
     _finish(
         "chromatic",
@@ -426,6 +427,8 @@ def cmd_verify(max_rows, max_len, max_offset, sample, seed, k, fmt):
     def build():
         if max_rows < 1 or max_len < 1 or max_offset < 0:
             raise ParseError("family bounds must be positive (offset may be 0)")
+        if sample is not None and sample < 1:
+            raise ParseError("--sample must be at least 1")
         result = run_verify(max_rows, max_len, max_offset, sample=sample, seed=seed, k=k)
         return result, bool(result["mismatches"])
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NotUnicellular, PreconditionViolated
-from .qsymfunc import BasisExpansion, QPoly, SymFunc, _spread
+from .qsymfunc import BasisExpansion, QPoly, SymFunc
 from .strips import HorizontalStrip, Row
 
 StripTableau = tuple[tuple[int, ...], ...]
@@ -126,7 +126,8 @@ def llt_poly(strip: HorizontalStrip, k: int | None = None) -> SymFunc:
     the new cells of a facing still-empty cells of b one content lower.
     It runs once per partition lam of the cell count with at most k parts,
     letter i used lam_i times, and partitions with a common prefix share
-    its layers. The coefficient of x^lam is that of each rearrangement.
+    its layers. The result is symmetric and stores just these
+    m-coordinates; SymFunc.terms() spreads them over the monomials.
     """
     if k is None:
         k = strip.n
@@ -163,8 +164,8 @@ def llt_poly(strip: HorizontalStrip, k: int | None = None) -> SymFunc:
             descend(step(layer, m), lam + (m,), left - m)
 
     descend({(0,) * len(rows): {0: 1}}, (), strip.cell_count)
-    return _spread(k, strip.cell_count,
-                   ((lam, QPoly(poly)) for lam, poly in coeffs.items()))
+    return SymFunc.from_coords(
+        k, strip.cell_count, ((lam, QPoly(poly)) for lam, poly in coeffs.items()))
 
 
 def two_row_schur(a: int, b: int, m: int) -> BasisExpansion:

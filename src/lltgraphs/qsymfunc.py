@@ -5,14 +5,17 @@ Everything is exact. Integer coefficients are the norm; fractions enter
 through power-sum expansions and the plethystic substitution and are
 kept as exact rationals, never floats. A symmetric polynomial in k
 variables is determined by its m-coordinates, the coefficient of x^mu
-for each partition mu with at most k parts. Basis changes work in those
-coordinates only, against integer transition matrices counted from
-partitions (Macdonald, Symmetric Functions and Hall Polynomials, I.6).
+for each partition mu with at most k parts, and SymFunc stores only
+those; its monomials are listed only on demand. Arithmetic and basis
+changes work in the coordinates, the latter against integer transition
+matrices counted from partitions (Macdonald, Symmetric Functions and
+Hall Polynomials, I.6).
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from operator import sub
@@ -258,26 +261,29 @@ class QPoly:
 
 
 def _orbit_size(exps: tuple[int, ...]) -> int:
-    mults: dict[int, int] = {}
-    for e in exps:
-        mults[e] = mults.get(e, 0) + 1
     size = factorial(len(exps))
-    for m in mults.values():
+    for m in Counter(exps).values():
         size //= factorial(m)
     return size
 
 
 class SymFunc:
-    """Homogeneous polynomial in x_1..x_k with QPoly coefficients.
+    """Symmetric homogeneous polynomial in x_1..x_k with QPoly coefficients.
 
-    Terms map exponent vectors (length-k tuples) to nonzero QPoly
-    coefficients. Symmetry is a testable property, not an enforced
-    invariant, so intermediate sums may be asymmetric.
+    Stored by its m-coordinates: the coefficient of x^lam for each
+    partition lam with at most k parts, which is also the coefficient of
+    every rearrangement of lam padded to length k. Built from explicit
+    monomials, which must then be symmetric, or by from_coords from the
+    coordinates themselves. terms() spreads the coordinates over the
+    monomials on demand; nothing else lists them.
     """
 
-    __slots__ = ("k", "degree", "_terms")
+    __slots__ = ("k", "degree", "_coords")
 
     def __init__(self, k: int, degree: int, terms=None):
+        """The polynomial with the given monomials: exponent vectors of
+        length k and sum degree. Raises NotSymmetric unless every
+        rearrangement of a monomial is present with the same coefficient."""
         if k < 1:
             raise ValueError("need at least one variable")
         self.k = int(k)
@@ -295,31 +301,58 @@ class SymFunc:
                     )
                 if not isinstance(c, QPoly):
                     c = QPoly.constant(c)
-                prev = data.get(exps)
-                c = c if prev is None else prev + c
-                if c.is_zero:
-                    data.pop(exps, None)
-                else:
-                    data[exps] = c
-        self._terms = {e: c for e, c in data.items() if not c.is_zero}
+                data[exps] = data.get(exps, QPoly.zero()) + c
+        orbits: dict[tuple[int, ...], list[QPoly]] = {}
+        for exps, c in data.items():
+            if c:
+                orbits.setdefault(_partition(exps), []).append(c)
+        for lam, cs in orbits.items():
+            if len(cs) != _orbit_size(_pad(lam, k)) or any(c != cs[0] for c in cs):
+                raise NotSymmetric("polynomial is not symmetric in its variables")
+        self._coords = {lam: cs[0] for lam, cs in orbits.items()}
+
+    @classmethod
+    def from_coords(cls, k: int, degree: int, coords) -> "SymFunc":
+        """The polynomial with coefficient c on x^lam, and so on every
+        rearrangement, for each (partition lam, c) pair; each lam sums to
+        degree and has at most k parts."""
+        data: dict[tuple[int, ...], QPoly] = {}
+        for lam, c in coords:
+            lam = _check_partition(lam)
+            if len(lam) > k or sum(lam) != degree:
+                raise ValueError(
+                    f"partition {lam} is not of {degree} with at most {k} parts"
+                )
+            prev = data.get(lam)
+            data[lam] = c if prev is None else prev + c
+        f = cls(k, degree)
+        f._coords = {lam: c for lam, c in data.items() if c}
+        return f
 
     @classmethod
     def zero(cls, k: int, degree: int) -> "SymFunc":
-        return cls(k, degree, None)
+        return cls(k, degree)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coords
 
     def coeff(self, exps) -> QPoly:
-        return self._terms.get(tuple(exps), QPoly.zero())
+        exps = tuple(exps)
+        if len(exps) != self.k:
+            return QPoly.zero()
+        return self._coords.get(_partition(exps), QPoly.zero())
 
     def terms(self):
-        """(exponent vector, QPoly) pairs in decreasing lexicographic order."""
-        return [(e, self._terms[e]) for e in sorted(self._terms, reverse=True)]
+        """(exponent vector, QPoly) pairs in decreasing lexicographic order,
+        every rearrangement of each stored partition listed."""
+        spread = [(exps, c) for lam, c in self._coords.items()
+                  for exps in _distinct_permutations(_pad(lam, self.k))]
+        return sorted(spread, key=lambda term: term[0], reverse=True)
 
     def __len__(self):
-        return len(self._terms)
+        """The number of monomials."""
+        return sum(_orbit_size(_pad(lam, self.k)) for lam in self._coords)
 
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
@@ -328,11 +361,11 @@ class SymFunc:
             return False
         if self.is_zero and other.is_zero:
             return True
-        return self.degree == other.degree and self._terms == other._terms
+        return self.degree == other.degree and self._coords == other._coords
 
     def __hash__(self):
-        return hash((self.k, self.degree if self._terms else 0,
-                     frozenset(self._terms.items())))
+        return hash((self.k, self.degree if self._coords else 0,
+                     frozenset(self._coords.items())))
 
     def _check_k(self, other: "SymFunc"):
         if self.k != other.k:
@@ -345,19 +378,13 @@ class SymFunc:
             return NotImplemented
         self._check_k(other)
         if self.is_zero:
-            return SymFunc(other.k, other.degree, other._terms)
+            return other
         if other.is_zero:
-            return SymFunc(self.k, self.degree, self._terms)
+            return self
         if self.degree != other.degree:
             raise ValueError("cannot add polynomials of different degrees")
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, QPoly.zero()) + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return SymFunc(self.k, self.degree, out)
+        coords = list(self._coords.items()) + list(other._coords.items())
+        return SymFunc.from_coords(self.k, self.degree, coords)
 
     def __sub__(self, other):
         return self + (other * QPoly.constant(-1))
@@ -366,47 +393,30 @@ class SymFunc:
         if isinstance(other, (int, Fraction)):
             other = QPoly.constant(other)
         if isinstance(other, QPoly):
-            if other.is_zero:
-                return SymFunc.zero(self.k, self.degree)
-            return SymFunc(
+            return SymFunc.from_coords(
                 self.k, self.degree,
-                {e: c * other for e, c in self._terms.items()},
+                ((lam, c * other) for lam, c in self._coords.items()),
             )
         if not isinstance(other, SymFunc):
             return NotImplemented
         self._check_k(other)
-        out: dict[tuple[int, ...], QPoly] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                prev = out.get(e)
-                s = prod if prev is None else prev + prod
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return SymFunc(self.k, self.degree + other.degree, out)
+        # the coefficient of x^nu sums f_e g_{nu - e} over the monomials
+        # x^e of f, g_{nu - e} being g's coordinate at the sorted
+        # difference; a difference with a negative entry finds none
+        spread = self.terms()
+        degree = self.degree + other.degree
+        coords = []
+        for lam in partitions_of(degree, max_len=self.k):
+            nu = _pad(lam, self.k)
+            total = QPoly.zero()
+            for exps, c in spread:
+                d = other._coords.get(_partition(map(sub, nu, exps)))
+                if d is not None:
+                    total = total + c * d
+            coords.append((lam, total))
+        return SymFunc.from_coords(self.k, degree, coords)
 
     __rmul__ = __mul__
-
-    def is_symmetric(self) -> bool:
-        """True iff coefficients are constant on sorting orbits and no
-        orbit is partially present."""
-        orbits: dict[tuple[int, ...], list] = {}
-        for e, c in self._terms.items():
-            orbits.setdefault(tuple(sorted(e, reverse=True)), []).append(c)
-        for rep, cs in orbits.items():
-            if len(cs) != _orbit_size(rep):
-                return False
-            first = cs[0]
-            if any(c != first for c in cs[1:]):
-                return False
-        return True
-
-    def assert_symmetric(self):
-        if not self.is_symmetric():
-            raise NotSymmetric("polynomial is not symmetric in its variables")
 
     def __str__(self):
         if self.is_zero:
@@ -452,24 +462,13 @@ def _check_partition(lam) -> tuple[int, ...]:
 
 def _distinct_permutations(items: tuple[int, ...]):
     """All distinct rearrangements, without generating duplicates."""
-    pool: dict[int, int] = {}
-    for it in items:
-        pool[it] = pool.get(it, 0) + 1
-    n = len(items)
-    out = [0] * n
-
-    def rec(pos: int):
-        if pos == n:
-            yield tuple(out)
-            return
-        for v in sorted(pool):
-            if pool[v]:
-                pool[v] -= 1
-                out[pos] = v
-                yield from rec(pos + 1)
-                pool[v] += 1
-
-    yield from rec(0)
+    if not items:
+        yield ()
+    for v in sorted(set(items)):
+        rest = list(items)
+        rest.remove(v)
+        for tail in _distinct_permutations(tuple(rest)):
+            yield (v,) + tail
 
 
 def _pad(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -546,24 +545,11 @@ def _m_coefficient(basis: str, lam: tuple[int, ...], mu: tuple[int, ...],
     return _product_count(basis, lam, mu, memo)
 
 
-def _spread(k: int, degree: int, coords) -> SymFunc:
-    """The polynomial in k variables with the given m-coordinates: each
-    (partition, coefficient) pair is copied to every rearrangement of the
-    partition padded to length k."""
-    terms = {}
-    for mu, c in coords:
-        if c:
-            for exps in _distinct_permutations(_pad(mu, k)):
-                terms[exps] = c
-    return SymFunc(k, degree, terms)
-
-
 def eval_basis(basis: str, lam, k: int) -> SymFunc:
-    """The basis element named by partition lam, as an explicit
-    polynomial in k variables: its m-coordinates, counted by
-    _m_coefficient, spread over the monomials. A Schur or monomial
-    element needing more than k rows evaluates to the zero polynomial
-    rather than raising.
+    """The basis element named by partition lam, as a polynomial in k
+    variables: its m-coordinates, counted by _m_coefficient. A Schur or
+    monomial element needing more than k rows evaluates to the zero
+    polynomial rather than raising.
     """
     lam = _check_partition(lam)
     return BasisExpansion(basis, sum(lam), {lam: 1}).evaluate(k)
@@ -620,8 +606,8 @@ class BasisExpansion:
         return hash((self.basis, self.degree, frozenset(self._coeffs.items())))
 
     def evaluate(self, k: int) -> SymFunc:
-        """Expand back into an explicit polynomial in k variables: sum the
-        terms in m-coordinates, then spread the sums over the monomials."""
+        """Expand back into a polynomial in k variables by summing the
+        terms in m-coordinates."""
         memo: dict = {}
         coords = []
         for mu in partitions_of(self.degree, max_len=k):
@@ -631,7 +617,7 @@ class BasisExpansion:
                 if count:
                     total = total + c * count
             coords.append((mu, total))
-        return _spread(k, self.degree, coords)
+        return SymFunc.from_coords(k, self.degree, coords)
 
     def __str__(self):
         if not self._coeffs:
@@ -731,21 +717,19 @@ def _solve_elimination(basis: str, parts: list, coords: list) -> dict:
 def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
     """Expand a symmetric homogeneous polynomial in the named basis.
 
-    Past the symmetry check, only the m-coordinates of f are read: the
-    coefficient of x^mu for each partition mu with at most k parts,
-    padded with zeros. The s and m expansions come from a unitriangular
-    solve against Kostka numbers (nothing to solve for m); h, e and p
-    from an exact elimination against their counted transition matrix,
-    which needs every partition of the degree, so k >= degree.
+    Only the stored m-coordinates of f are read: the coefficient of x^mu
+    for each partition mu with at most k parts. The s and m expansions
+    come from a unitriangular solve against Kostka numbers (nothing to
+    solve for m); h, e and p from an exact elimination against their
+    counted transition matrix, which needs every partition of the
+    degree, so k >= degree.
 
-    Raises NotSymmetric if f fails the symmetry check,
-    InsufficientVariables when basis is h, e or p and k < degree, and
-    NonIntegralCoefficient when the s or m expansion (which is always
+    Raises InsufficientVariables when basis is h, e or p and k < degree,
+    and NonIntegralCoefficient when the s or m expansion (which is always
     integral for integral inputs) comes out fractional.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    f.assert_symmetric()
     if f.is_zero:
         return BasisExpansion(basis, f.degree, None)
     if basis not in ("s", "m") and f.k < f.degree:
@@ -754,7 +738,7 @@ def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
             f"{f.degree} variables, got {f.k}"
         )
     parts = list(partitions_of(f.degree, max_len=f.k))
-    coords = [f.coeff(_pad(mu, f.k)) for mu in parts]
+    coords = [f._coords.get(mu, QPoly.zero()) for mu in parts]
     solve = _solve_triangular if basis in ("s", "m") else _solve_elimination
     return BasisExpansion(basis, f.degree, solve(basis, parts, coords))
 

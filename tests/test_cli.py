@@ -43,6 +43,7 @@ def test_llt_monomial_payload(runner):
         "degree": 2,
         "monomials": {"(2,0)": "1", "(1,1)": "q+1", "(0,2)": "1"},
     }
+    assert list(payload["result"]["monomials"]) == ["(2,0)", "(1,1)", "(0,2)"]
 
 
 def test_llt_report_key_order(runner):
@@ -132,6 +133,15 @@ def test_chromatic_requires_one_source(runner):
     assert both.exit_code == 2
     neither = invoke(runner, "chromatic")
     assert neither.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "source", [["--graph", '{"weights":[2],"edges":[]}'], ["--strip", "1/0,1/0"]]
+)
+def test_chromatic_rejects_zero_colours(runner, source):
+    result = invoke(runner, "chromatic", *source, "--vars", "0")
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"]["type"] == "ValueError"
 
 
 def test_chromatic_wide_rows_hit_precondition(runner):
@@ -266,6 +276,17 @@ def test_verify_sampling_is_deterministic(runner):
 def test_verify_rejects_bad_bounds(runner):
     result = invoke(runner, "verify", "--max-rows", "0")
     assert result.exit_code == 2
+
+
+def test_verify_rejects_a_sample_below_one(runner):
+    family = ["verify", "--max-rows", "2", "--max-len", "2", "--max-offset", "2"]
+    for sample in ("0", "-5"):
+        result = invoke(runner, *family, "--sample", sample)
+        assert result.exit_code == 2, sample
+        assert json.loads(result.stderr)["error"]["type"] == "ParseError"
+    whole = invoke(runner, *family, "--sample", "1000")
+    assert whole.exit_code == 0
+    assert body(whole)["result"]["strips"] == 22
 
 
 def test_version_flag(runner):

@@ -119,8 +119,9 @@ def test_llt_poly_defaults_to_row_count():
 
 
 def test_llt_poly_is_symmetric():
-    f = llt_poly(parse_strip("3/0,3/2,4/1"), 3)
-    assert f.is_symmetric()
+    strip = parse_strip("3/0,3/2,4/1")
+    rows = [(r.lo, r.hi) for r in strip.rows]
+    assert _poly_as_nested_dict(llt_poly(strip, 3)) == brute_llt(rows, 3)
 
 
 def test_top_degree_is_total_edge_weight(sweep_main, sweep_main_polys):

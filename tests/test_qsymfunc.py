@@ -15,6 +15,7 @@ from lltgraphs import (
     to_basis,
 )
 from lltgraphs import qsymfunc
+from lltgraphs.chromatic import chrom_quasisym
 from lltgraphs.compositions import compositions_of, multiset_equal
 from lltgraphs.errors import (
     InexactDivision,
@@ -24,6 +25,7 @@ from lltgraphs.errors import (
     PreconditionViolated,
     SingularTransitionMatrix,
 )
+from lltgraphs.llt import LabelledGraph
 from lltgraphs.qsymfunc import (
     BASES,
     _m_coefficient,
@@ -33,7 +35,7 @@ from lltgraphs.qsymfunc import (
 )
 from lltgraphs.strips import HorizontalStrip, Row
 
-from oracle import brute_basis, brute_llt, brute_ribbon, kostka
+from oracle import _mono_mul, brute_basis, brute_llt, brute_ribbon, kostka
 
 MAX_FILLINGS = 2000
 
@@ -208,9 +210,59 @@ def test_singular_transition_matrix_is_a_typed_fault(monkeypatch):
 
 
 def test_to_basis_rejects_asymmetric_input():
-    lopsided = SymFunc(2, 1, {(1, 0): 1})
     with pytest.raises(NotSymmetric):
+        lopsided = SymFunc(2, 1, {(1, 0): 1})
         to_basis(lopsided, "m")
+
+
+def test_llt_poly_and_to_basis_list_no_monomials(monkeypatch):
+    strip = parse_strip("3/0,5/3,2/0")
+    f = llt_poly(strip, 7)
+    want = {basis: to_basis(f, basis) for basis in BASES}
+
+    def refuse(items):
+        raise RuntimeError("listed the rearrangements of a partition")
+
+    monkeypatch.setattr(qsymfunc, "_distinct_permutations", refuse)
+    g = llt_poly(strip, 7)
+    assert g == f
+    assert hash(g) == hash(f)
+    for basis in BASES:
+        assert to_basis(g, basis) == want[basis], basis
+
+
+@pytest.mark.parametrize(
+    "k,degree,terms",
+    [
+        (3, 3, {(2, 1, 0): 1, (1, 2, 0): 1, (2, 0, 1): 1, (0, 2, 1): 1, (1, 0, 2): 1}),
+        (2, 2, {(2, 0): QPoly.q_power(1), (0, 2): QPoly.one(), (1, 1): 3}),
+    ],
+    ids=["missing-rearrangement", "unequal-in-one-orbit"],
+)
+def test_monomials_must_be_symmetric(k, degree, terms):
+    with pytest.raises(NotSymmetric):
+        SymFunc(k, degree, terms)
+
+
+def test_chrom_quasisym_rejects_an_asymmetric_labelling():
+    # two edges from vertex 1: x1^2 x2 comes with q^0 but x1 x2^2 with q^2
+    with pytest.raises(NotSymmetric):
+        chrom_quasisym(LabelledGraph(3, frozenset({(1, 2), (1, 3)})), 3)
+
+
+@settings(max_examples=150)
+@given(
+    bases=st.tuples(st.sampled_from(BASES), st.sampled_from(BASES)),
+    lams=st.tuples(
+        st.integers(1, 4).flatmap(lambda n: st.sampled_from(list(partitions_of(n)))),
+        st.integers(1, 3).flatmap(lambda n: st.sampled_from(list(partitions_of(n)))),
+    ),
+    k=st.integers(1, 4),
+)
+def test_product_matches_brute_monomial_product(bases, lams, k):
+    f, g = (eval_basis(b, lam, k) for b, lam in zip(bases, lams))
+    want = _mono_mul(*(brute_basis(b, lam, k) for b, lam in zip(bases, lams)))
+    assert _as_int_dict(f * g) == {e: c for e, c in want.items() if c}
 
 
 def test_q_coefficients_survive_basis_round_trip():

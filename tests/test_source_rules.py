@@ -6,14 +6,31 @@ import lltgraphs
 SOURCES = sorted(Path(lltgraphs.__file__).parent.rglob("*.py"))
 
 
+def _library_nodes():
+    assert SOURCES
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path, node
+
+
 def test_library_has_no_assert_statements():
     """`python -O` strips `assert`, so library control flow must raise
     typed errors instead."""
-    assert SOURCES
     found = [
         f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for path, node in _library_nodes()
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_library_has_no_float_literals():
+    """All arithmetic is exact: no float constant and no call to float."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _library_nodes()
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
     ]
     assert found == []
