@@ -6,10 +6,13 @@ The extended chromatic function of a vertex-weighted graph sums
 x_{colour(v)}^{weight(v)} over proper colourings. On a labelled graph
 each proper colouring is additionally weighted by q^(ascents), with an
 ascent being an edge whose higher-labelled endpoint gets the strictly
-larger colour. For weighted paths indexed by compositions both families
-collapse to signed sums over the coarsening multiset, and the
-unicellular strip polynomial turns into the ascent-weighted chromatic
-function after substituting x -> x(q-1) and dividing by (q-1)^n.
+larger colour. Neither sum lists colourings: a colour class is an
+independent set, so both run on llt.partition_dp with the colour
+classes as its letters, colouring one independent set per step. For
+weighted paths indexed by compositions both families collapse to signed
+sums over the coarsening multiset, and the unicellular strip polynomial
+turns into the ascent-weighted chromatic function after substituting
+x -> x(q-1) and dividing by (q-1)^n.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import compositions as comps
-from .errors import InexactDivision, NotUnicellular
-from .llt import LabelledGraph, gamma_graph, llt_poly
+from .errors import InexactDivision, NotSymmetric, NotUnicellular
+from .llt import LabelledGraph, gamma_graph, llt_poly, partition_dp
 from .qsymfunc import (
     BasisExpansion,
     QPoly,
@@ -51,10 +54,6 @@ class VertexWeightedGraph:
     def n(self) -> int:
         return len(self.weights)
 
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
@@ -77,64 +76,69 @@ def from_weighted_graph(g) -> VertexWeightedGraph:
     )
 
 
-def _proper_colourings(n: int, k: int, neighbours):
-    """Yield proper colourings as tuples, colours 1..k; neighbours[v]
-    lists the already-coloured vertices adjacent to v."""
-    kappa = [0] * n
+def _colouring_sum(weights, edges, ascents, k: int) -> SymFunc:
+    """Sum over proper colourings with colours 1..k of q^(ascents) times
+    the product of x_colour^weight, by partition_dp. A state is the
+    bitmask of coloured vertices; colour m of a partition colours an
+    independent set S of uncoloured vertices of total weight m, adding
+    one ascent for each ascent edge (a, b) with a in S and b still
+    uncoloured. Vertices, edges and ascent edges are 1-based."""
+    if k < 1:
+        raise ValueError("need at least one colour")
+    adjacent = [0] * len(weights)
+    for a, b in edges:
+        adjacent[a - 1] |= 1 << (b - 1)
+        adjacent[b - 1] |= 1 << (a - 1)
+    independent = [(0, 0)]
+    for v, w in enumerate(weights):
+        independent += [(s | 1 << v, t + w) for s, t in independent
+                        if not s & adjacent[v]]
+    by_weight: dict[int, list[int]] = {}
+    for s, t in independent[1:]:
+        by_weight.setdefault(t, []).append(s)
+    ascents = [(1 << (a - 1), 1 << (b - 1)) for a, b in ascents]
 
-    def rec(v: int):
-        if v == n:
-            yield tuple(kappa)
-            return
-        blocked = {kappa[u] for u in neighbours[v]}
-        for colour in range(1, k + 1):
-            if colour in blocked:
-                continue
-            kappa[v] = colour
-            yield from rec(v + 1)
+    def step(layer: dict, m: int) -> dict:
+        out: dict[int, dict[int, int]] = {}
+        sets = by_weight.get(m, ())
+        for done, poly in layer.items():
+            for s in sets:
+                if s & done:
+                    continue
+                after = done | s
+                asc = sum(1 for a, b in ascents if a & s and not b & after)
+                acc = out.setdefault(after, {})
+                for e, c in poly.items():
+                    acc[e + asc] = acc.get(e + asc, 0) + c
+        return out
 
-    yield from rec(0)
+    return partition_dp(k, sum(weights), 0, (1 << len(weights)) - 1, step)
 
 
 def extended_chromatic(graph: VertexWeightedGraph, k: int) -> SymFunc:
     """Sum over proper colourings of the product of x_colour^weight."""
-    if k < 1:
-        raise ValueError("need at least one colour")
-    n = graph.n
-    neighbours = [[] for _ in range(n)]
-    for a, b in graph.edges:
-        neighbours[b - 1].append(a - 1)
-    terms: dict[tuple[int, ...], int] = {}
-    for kappa in _proper_colourings(n, k, neighbours):
-        v = [0] * k
-        for vertex, colour in enumerate(kappa):
-            v[colour - 1] += graph.weights[vertex]
-        exp = tuple(v)
-        terms[exp] = terms.get(exp, 0) + 1
-    return SymFunc(k, graph.total_weight, terms)
+    return _colouring_sum(graph.weights, graph.edges, (), k)
 
 
 def chrom_quasisym(graph: LabelledGraph, k: int) -> SymFunc:
     """Proper colourings of a labelled graph, weighted by q^(ascents).
-    The sum must be symmetric, as it is on the graphs gamma_graph builds;
-    otherwise NotSymmetric is raised."""
-    if k < 1:
-        raise ValueError("need at least one colour")
-    n = graph.n
+
+    The labelling must be a natural unit interval order: for every edge
+    (a, c) and every b with a < b < c, both (a, b) and (b, c) are edges.
+    Shareshian and Wachs (Adv. Math. 2016) show the sum is then
+    symmetric, which the partition-coordinate DP needs; every graph
+    gamma_graph builds qualifies. Otherwise NotSymmetric is raised,
+    naming a failing triple, even where the sum happens to be symmetric.
+    """
     edges = graph.sorted_edges
-    neighbours = [[] for _ in range(n)]
-    for a, b in edges:
-        neighbours[b - 1].append(a - 1)
-    terms: dict[tuple[int, ...], dict[int, int]] = {}
-    for kappa in _proper_colourings(n, k, neighbours):
-        asc = sum(1 for a, b in edges if kappa[a - 1] < kappa[b - 1])
-        v = [0] * k
-        for colour in kappa:
-            v[colour - 1] += 1
-        exp = tuple(v)
-        d = terms.setdefault(exp, {})
-        d[asc] = d.get(asc, 0) + 1
-    return SymFunc(k, n, {e: QPoly(d) for e, d in terms.items()})
+    for a, c in edges:
+        for b in range(a + 1, c):
+            if (a, b) not in graph.edges or (b, c) not in graph.edges:
+                raise NotSymmetric(
+                    f"labelling is not a natural unit interval order: edge "
+                    f"({a}, {c}) without both ({a}, {b}) and ({b}, {c})"
+                )
+    return _colouring_sum((1,) * graph.n, edges, edges, k)
 
 
 def path_p_expansion(alpha) -> BasisExpansion:

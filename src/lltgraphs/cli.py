@@ -96,9 +96,12 @@ def run_verify(
 ) -> dict:
     """Bucket a strip family by graph isomorphism and compare polynomials
     inside each bucket; also count bucket pairs with equal polynomial but
-    non-isomorphic graphs (failures of the converse direction)."""
+    non-isomorphic graphs (failures of the converse direction). A sample
+    of at least the family size takes the whole family."""
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
     strips = sweep_family(max_rows, max_len, max_offset)
-    if sample is not None and 0 < sample < len(strips):
+    if sample is not None and sample < len(strips):
         picked = sorted(Random(seed).sample(range(len(strips)), sample))
         strips = [strips[t] for t in picked]
     nvars = k if k is not None else max_rows

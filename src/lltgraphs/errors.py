@@ -26,7 +26,8 @@ class PreconditionError(LltgraphsError):
 # --- exact arithmetic / basis conversion ---
 
 class NotSymmetric(PreconditionError):
-    """A polynomial claimed symmetric fails the orbit-constancy check."""
+    """chrom_quasisym got a labelling that is not a natural unit interval
+    order, so its colouring sum need not be symmetric; raised only there."""
 
 
 class InsufficientVariables(PreconditionError):

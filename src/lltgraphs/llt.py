@@ -13,9 +13,11 @@ The statistic is local in content, as in Haglund-Haiman-Loehr (JAMS
 2005), so llt_poly never lists tableaux. It places the letters 1, 2, ...
 in turn, remembers only how many cells of each row are filled, and
 counts each letter's inversions as overlaps between the content
-intervals it fills and those still empty. It does so once per partition
-of the cell count and reads the other monomials off by symmetry.
-`inversions` keeps the direct cell-pair count for a single tableau.
+intervals it fills and those still empty. partition_dp drives such a
+letter-by-letter count once per partition of the total and reads the
+other monomials off by symmetry; the colouring sums of chromatic.py run
+on the same driver, one colour class per letter. `inversions` keeps the
+direct cell-pair count for a single tableau.
 """
 
 from __future__ import annotations
@@ -114,19 +116,43 @@ def _advances(f: tuple[int, ...], sizes: tuple[int, ...], m: int) -> list:
             if f[-1] <= total - sum(head) <= sizes[-1]]
 
 
+def partition_dp(k: int, total: int, start, end, step) -> SymFunc:
+    """The symmetric polynomial in k variables of degree total whose
+    coefficient on x^lam is the count a letter DP reaches at state end.
+
+    From the layer {start: {0: 1}}, mapping each state to its count by
+    power of q, step(layer, m) places the next letter m times and returns
+    the next layer. The DP runs once per partition lam of total with at
+    most k parts, letter i placed lam_i times, and partitions with a
+    common prefix share their layers. The caller must count a symmetric
+    sum, since only these m-coordinates are computed.
+    """
+    coeffs: dict[tuple[int, ...], dict[int, int]] = {}
+
+    def descend(layer: dict, lam: tuple[int, ...], left: int):
+        if not left:
+            coeffs[lam] = layer.get(end, {})
+            return
+        for m in range(min(left, lam[-1] if lam else left), 0, -1):
+            if left - m > m * (k - len(lam) - 1):  # the rest no longer fits
+                break
+            descend(step(layer, m), lam + (m,), left - m)
+
+    descend({start: {0: 1}}, (), total)
+    return SymFunc(k, total, ((lam, QPoly(poly)) for lam, poly in coeffs.items()))
+
+
 def llt_poly(strip: HorizontalStrip, k: int | None = None) -> SymFunc:
     """Sum of q^(inversions) x^(entry counts) over all tableaux with
     entries at most k. Defaults to k = row count, which is enough
     variables to pin down the strip's symmetric function.
 
-    A dynamic programme places the letters 1, 2, ... in turn. Its state f
-    counts the filled cells of each row. Placing a letter in cells
-    [f_i, g_i) of each row i adds, for each interacting row pair a < b,
-    the new cells of b facing still-empty cells of a at equal content and
-    the new cells of a facing still-empty cells of b one content lower.
-    It runs once per partition lam of the cell count with at most k parts,
-    letter i used lam_i times, and partitions with a common prefix share
-    its layers. The result is symmetric and stores just these
+    A dynamic programme on partition_dp places the letters 1, 2, ... in
+    turn. Its state f counts the filled cells of each row. Placing a
+    letter in cells [f_i, g_i) of each row i adds, for each interacting
+    row pair a < b, the new cells of b facing still-empty cells of a at
+    equal content and the new cells of a facing still-empty cells of b
+    one content lower. The result is symmetric and stores just its
     m-coordinates; SymFunc.terms() spreads them over the monomials.
     """
     if k is None:
@@ -152,20 +178,7 @@ def llt_poly(strip: HorizontalStrip, k: int | None = None) -> SymFunc:
                     acc[e + inv] = acc.get(e + inv, 0) + c
         return out
 
-    coeffs: dict[tuple[int, ...], dict[int, int]] = {}
-
-    def descend(layer: dict, lam: tuple[int, ...], left: int):
-        if not left:
-            coeffs[lam] = layer[sizes]
-            return
-        for m in range(min(left, lam[-1] if lam else left), 0, -1):
-            if left - m > m * (k - len(lam) - 1):  # the rest no longer fits
-                break
-            descend(step(layer, m), lam + (m,), left - m)
-
-    descend({(0,) * len(rows): {0: 1}}, (), strip.cell_count)
-    return SymFunc.from_coords(
-        k, strip.cell_count, ((lam, QPoly(poly)) for lam, poly in coeffs.items()))
+    return partition_dp(k, strip.cell_count, (0,) * len(rows), sizes, step)
 
 
 def two_row_schur(a: int, b: int, m: int) -> BasisExpansion:

@@ -26,7 +26,6 @@ from .errors import (
     InsufficientVariables,
     MismatchedVariableCount,
     NonIntegralCoefficient,
-    NotSymmetric,
     ParseError,
     PreconditionViolated,
     SingularTransitionMatrix,
@@ -272,52 +271,24 @@ class SymFunc:
 
     Stored by its m-coordinates: the coefficient of x^lam for each
     partition lam with at most k parts, which is also the coefficient of
-    every rearrangement of lam padded to length k. Built from explicit
-    monomials, which must then be symmetric, or by from_coords from the
-    coordinates themselves. terms() spreads the coordinates over the
-    monomials on demand; nothing else lists them.
+    every rearrangement of lam padded to length k. The one constructor
+    takes these coordinates, so every SymFunc is symmetric by
+    construction. terms() spreads the coordinates over the monomials on
+    demand; nothing else lists them.
     """
 
     __slots__ = ("k", "degree", "_coords")
 
-    def __init__(self, k: int, degree: int, terms=None):
-        """The polynomial with the given monomials: exponent vectors of
-        length k and sum degree. Raises NotSymmetric unless every
-        rearrangement of a monomial is present with the same coefficient."""
+    def __init__(self, k: int, degree: int, coords=None):
+        """The polynomial with coefficient c on x^lam, and so on every
+        rearrangement, for each (partition lam, c) pair; each lam sums to
+        degree and has at most k parts, and pairs on one lam add up."""
         if k < 1:
             raise ValueError("need at least one variable")
         self.k = int(k)
         self.degree = int(degree)
         data: dict[tuple[int, ...], QPoly] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exps, c in items:
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != self.k:
-                    raise ValueError(f"exponent vector {exps} is not length {k}")
-                if sum(exps) != self.degree:
-                    raise ValueError(
-                        f"exponent vector {exps} breaks homogeneity of degree {degree}"
-                    )
-                if not isinstance(c, QPoly):
-                    c = QPoly.constant(c)
-                data[exps] = data.get(exps, QPoly.zero()) + c
-        orbits: dict[tuple[int, ...], list[QPoly]] = {}
-        for exps, c in data.items():
-            if c:
-                orbits.setdefault(_partition(exps), []).append(c)
-        for lam, cs in orbits.items():
-            if len(cs) != _orbit_size(_pad(lam, k)) or any(c != cs[0] for c in cs):
-                raise NotSymmetric("polynomial is not symmetric in its variables")
-        self._coords = {lam: cs[0] for lam, cs in orbits.items()}
-
-    @classmethod
-    def from_coords(cls, k: int, degree: int, coords) -> "SymFunc":
-        """The polynomial with coefficient c on x^lam, and so on every
-        rearrangement, for each (partition lam, c) pair; each lam sums to
-        degree and has at most k parts."""
-        data: dict[tuple[int, ...], QPoly] = {}
-        for lam, c in coords:
+        for lam, c in coords or ():
             lam = _check_partition(lam)
             if len(lam) > k or sum(lam) != degree:
                 raise ValueError(
@@ -325,9 +296,7 @@ class SymFunc:
                 )
             prev = data.get(lam)
             data[lam] = c if prev is None else prev + c
-        f = cls(k, degree)
-        f._coords = {lam: c for lam, c in data.items() if c}
-        return f
+        self._coords = {lam: c for lam, c in data.items() if c}
 
     @classmethod
     def zero(cls, k: int, degree: int) -> "SymFunc":
@@ -384,7 +353,7 @@ class SymFunc:
         if self.degree != other.degree:
             raise ValueError("cannot add polynomials of different degrees")
         coords = list(self._coords.items()) + list(other._coords.items())
-        return SymFunc.from_coords(self.k, self.degree, coords)
+        return SymFunc(self.k, self.degree, coords)
 
     def __sub__(self, other):
         return self + (other * QPoly.constant(-1))
@@ -393,7 +362,7 @@ class SymFunc:
         if isinstance(other, (int, Fraction)):
             other = QPoly.constant(other)
         if isinstance(other, QPoly):
-            return SymFunc.from_coords(
+            return SymFunc(
                 self.k, self.degree,
                 ((lam, c * other) for lam, c in self._coords.items()),
             )
@@ -414,7 +383,7 @@ class SymFunc:
                 if d is not None:
                     total = total + c * d
             coords.append((lam, total))
-        return SymFunc.from_coords(self.k, degree, coords)
+        return SymFunc(self.k, degree, coords)
 
     __rmul__ = __mul__
 
@@ -617,7 +586,7 @@ class BasisExpansion:
                 if count:
                     total = total + c * count
             coords.append((mu, total))
-        return SymFunc.from_coords(k, self.degree, coords)
+        return SymFunc(k, self.degree, coords)
 
     def __str__(self):
         if not self._coeffs:

@@ -21,7 +21,9 @@ from lltgraphs import (
 )
 from lltgraphs.chromatic import VertexWeightedGraph, chrom_quasisym, from_weighted_graph
 from lltgraphs.compositions import compositions_of, concat, near_concat
-from lltgraphs.errors import NotUnicellular
+from lltgraphs.errors import NotSymmetric, NotUnicellular
+from lltgraphs.llt import LabelledGraph
+from lltgraphs.strips import HorizontalStrip, Row
 
 from oracle import brute_chrom_quasisym, brute_extended_chromatic
 
@@ -65,9 +67,9 @@ def test_edgeless_graph_multiplies_power_sums():
 
 
 @given(
-    weights=st.lists(st.integers(1, 3), min_size=1, max_size=4),
-    edge_bits=st.integers(0, 63),
-    k=st.integers(2, 3),
+    weights=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    edge_bits=st.integers(0, 2**15 - 1),
+    k=st.integers(1, 4),
 )
 def test_extended_chromatic_matches_brute_force(weights, edge_bits, k):
     n = len(weights)
@@ -168,6 +170,37 @@ def test_chrom_quasisym_matches_brute_force(sweep_uni):
         f = chrom_quasisym(gamma, 3)
         want = brute_chrom_quasisym(gamma.n, gamma.sorted_edges, 3)
         assert _q_terms(f) == want, strip.literal
+
+
+@given(
+    contents=st.lists(st.integers(0, 3), min_size=1, max_size=7),
+    k=st.integers(1, 4),
+)
+def test_chrom_quasisym_of_gamma_graph_matches_brute_force(contents, k):
+    gamma = gamma_graph(HorizontalStrip(tuple(Row(c, c) for c in contents)))
+    want = brute_chrom_quasisym(gamma.n, gamma.sorted_edges, k)
+    assert _q_terms(chrom_quasisym(gamma, k)) == want
+
+
+def test_chrom_quasisym_refuses_or_matches_brute_force_on_small_graphs():
+    graphs = [
+        LabelledGraph(n, frozenset(e for i, e in enumerate(pairs) if bits >> i & 1))
+        for n in range(1, 5)
+        for pairs in [list(combinations(range(1, n + 1), 2))]
+        for bits in range(2 ** len(pairs))
+    ]
+    assert len(graphs) == 75
+    refused = 0
+    for graph in graphs:
+        for k in range(1, 5):
+            try:
+                f = chrom_quasisym(graph, k)
+            except NotSymmetric:
+                refused += 1
+                continue
+            want = brute_chrom_quasisym(graph.n, graph.sorted_edges, k)
+            assert _q_terms(f) == want, (graph, k)
+    assert 0 < refused < 4 * len(graphs)
 
 
 def test_bridge_on_tiny_strips():

@@ -289,6 +289,12 @@ def test_verify_rejects_a_sample_below_one(runner):
     assert body(whole)["result"]["strips"] == 22
 
 
+@pytest.mark.parametrize("sample", [0, -3])
+def test_run_verify_rejects_a_sample_below_one(sample):
+    with pytest.raises(ValueError, match="sample must be at least 1"):
+        run_verify(2, 2, 2, sample=sample)
+
+
 def test_version_flag(runner):
     result = invoke(runner, "--version")
     assert result.exit_code == 0

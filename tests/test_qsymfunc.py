@@ -209,12 +209,6 @@ def test_singular_transition_matrix_is_a_typed_fault(monkeypatch):
     assert not isinstance(caught.value, PreconditionError)
 
 
-def test_to_basis_rejects_asymmetric_input():
-    with pytest.raises(NotSymmetric):
-        lopsided = SymFunc(2, 1, {(1, 0): 1})
-        to_basis(lopsided, "m")
-
-
 def test_llt_poly_and_to_basis_list_no_monomials(monkeypatch):
     strip = parse_strip("3/0,5/3,2/0")
     f = llt_poly(strip, 7)
@@ -229,19 +223,6 @@ def test_llt_poly_and_to_basis_list_no_monomials(monkeypatch):
     assert hash(g) == hash(f)
     for basis in BASES:
         assert to_basis(g, basis) == want[basis], basis
-
-
-@pytest.mark.parametrize(
-    "k,degree,terms",
-    [
-        (3, 3, {(2, 1, 0): 1, (1, 2, 0): 1, (2, 0, 1): 1, (0, 2, 1): 1, (1, 0, 2): 1}),
-        (2, 2, {(2, 0): QPoly.q_power(1), (0, 2): QPoly.one(), (1, 1): 3}),
-    ],
-    ids=["missing-rearrangement", "unequal-in-one-orbit"],
-)
-def test_monomials_must_be_symmetric(k, degree, terms):
-    with pytest.raises(NotSymmetric):
-        SymFunc(k, degree, terms)
 
 
 def test_chrom_quasisym_rejects_an_asymmetric_labelling():

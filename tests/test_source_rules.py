@@ -34,3 +34,20 @@ def test_library_has_no_float_literals():
         and node.func.id == "float"
     ]
     assert found == []
+
+
+def test_library_has_no_unused_private_helpers():
+    """Every module-level private function or class is used somewhere in
+    the library other than inside its own definition."""
+    defined, used = {}, set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_"):
+                defined[own] = f"{path.name}:{top.lineno}"
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    used.add(name)
+    assert defined
+    assert sorted(where for name, where in defined.items() if name not in used) == []
