@@ -3,9 +3,8 @@
 Two families matter to callers: ParseError (bad textual input, CLI exit
 code 2) and PreconditionError (a well-formed request whose mathematical
 preconditions fail, CLI exit code 3). Every concrete error below but
-the internal faults SingularTransitionMatrix and WitnessReplayFailed
-picks one of the two as its base so the CLI can map exceptions to exit
-codes without a lookup table.
+the internal fault WitnessReplayFailed picks one of the two as its base
+so the CLI can map exceptions to exit codes without a lookup table.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ class NonIntegralCoefficient(PreconditionError):
         super().__init__(
             f"non-integral coefficient {coefficient} at partition {self.partition}"
         )
-
-
-class SingularTransitionMatrix(LltgraphsError):
-    """A basis transition matrix had no pivot; signals an internal fault."""
 
 
 class MismatchedVariableCount(PreconditionError):

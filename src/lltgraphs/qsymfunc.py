@@ -7,9 +7,9 @@ kept as exact rationals, never floats. A symmetric polynomial in k
 variables is determined by its m-coordinates, the coefficient of x^mu
 for each partition mu with at most k parts, and SymFunc stores only
 those; its monomials are listed only on demand. Arithmetic and basis
-changes work in the coordinates, the latter against integer transition
-matrices counted from partitions (Macdonald, Symmetric Functions and
-Hall Polynomials, I.6).
+changes work in the coordinates, the latter by triangular solves against
+integer transition counts from partitions (Macdonald, Symmetric
+Functions and Hall Polynomials, I.6).
 """
 
 from __future__ import annotations
@@ -28,25 +28,22 @@ from .errors import (
     NonIntegralCoefficient,
     ParseError,
     PreconditionViolated,
-    SingularTransitionMatrix,
 )
 
 BASES = ("m", "s", "h", "e", "p")
 
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return c
-    return int(c)
+    return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
 class QPoly:
     """Polynomial in q with exact integer or rational coefficients.
 
     Stored as a map from nonnegative exponent to nonzero coefficient.
-    The degree of the zero polynomial is None.
+    The degree of the zero polynomial is None. Exponents must be ints and
+    coefficients ints or Fractions (bool counts as neither); anything
+    else, a float included, is a TypeError rather than a truncation.
     """
 
     __slots__ = ("_coeffs",)
@@ -56,9 +53,12 @@ class QPoly:
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for e, c in items:
-                e = int(e)
+                if isinstance(e, bool) or not isinstance(e, int):
+                    raise TypeError(f"q-exponent {e!r} is not an int")
                 if e < 0:
                     raise ValueError(f"negative q-exponent {e}")
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"q-coefficient {c!r} is not an int or a Fraction")
                 data[e] = data.get(e, 0) + c
         self._coeffs = {e: _norm_coeff(c) for e, c in data.items() if c != 0}
 
@@ -631,71 +631,44 @@ class BasisExpansion:
             raise ParseError(f"bad basis expansion JSON: {exc}") from None
 
 
-def _transition_matrix(basis: str, parts: list) -> list[list[Fraction]]:
-    """Row mu, column lam: the coefficient of m_mu in b_lam."""
-    memo: dict = {}
-    return [[Fraction(_m_coefficient(basis, lam, mu, memo)) for lam in parts]
-            for mu in parts]
+def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(p > i for p in lam) for i in range(lam[0] if lam else 0))
 
 
-def _solve_triangular(basis: str, parts: list, coords: list) -> dict:
-    # Schur and monomial bases are unitriangular against monomials in
-    # decreasing lexicographic order (K_{nu,lam} = 0 unless nu >= lam),
-    # so integer inputs stay integer.
-    memo: dict = {}
-    coeffs: dict[tuple[int, ...], QPoly] = {}
-    for lam, c in zip(parts, coords):
-        if basis == "s":
-            for nu, d in coeffs.items():
-                count = _kostka(nu, lam, memo)
-                if count:
-                    c = c - d * count
-        if c.is_zero:
-            continue
-        if not c.is_integral:
-            raise NonIntegralCoefficient(lam, c)
-        coeffs[lam] = c
-    return coeffs
-
-
-def _solve_elimination(basis: str, parts: list, coords: list) -> dict:
-    # exact Gaussian elimination, Fraction pivots, QPoly right-hand side
-    matrix = _transition_matrix(basis, parts)
-    rhs = list(coords)
-    n = len(parts)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if matrix[r][col] != 0), None)
-        if pivot is None:
-            raise SingularTransitionMatrix(f"singular {basis}-transition matrix")
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / matrix[col][col]
-        matrix[col] = [v * inv for v in matrix[col]]
-        rhs[col] = rhs[col] * inv
-        for r in range(n):
-            if r != col and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [
-                    a - factor * b if b else a
-                    for a, b in zip(matrix[r], matrix[col])
-                ]
-                rhs[r] = rhs[r] - rhs[col] * factor
-    return {parts[i]: rhs[i] for i in range(n) if not rhs[i].is_zero}
+def _back_substitute(parts: list, rhs: list, count) -> dict:
+    """The x with rhs[mu] = sum over nu of count(nu, mu) x[nu] for each mu
+    in parts, where count(nu, mu) is an integer that is zero unless nu
+    comes no later than mu in parts: taking parts in turn, x[mu] is
+    rhs[mu] less the terms already solved, divided by count(mu, mu)."""
+    x: dict[tuple[int, ...], QPoly] = {}
+    for mu, c in zip(parts, rhs):
+        solved = [(e, -a * n) for nu, d in x.items() if (n := count(nu, mu))
+                  for e, a in d._coeffs.items()]
+        c = QPoly(list(c._coeffs.items()) + solved)
+        if c:
+            diag = count(mu, mu)
+            x[mu] = c if diag == 1 else c * Fraction(1, diag)
+    return x
 
 
 def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
     """Expand a symmetric homogeneous polynomial in the named basis.
 
-    Only the stored m-coordinates of f are read: the coefficient of x^mu
-    for each partition mu with at most k parts. The s and m expansions
-    come from a unitriangular solve against Kostka numbers (nothing to
-    solve for m); h, e and p from an exact elimination against their
-    counted transition matrix, which needs every partition of the
-    degree, so k >= degree.
+    Only the stored m-coordinates a of f are read: a_mu is the
+    coefficient of x^mu for each partition mu with at most k parts. Each
+    basis is a triangular solve on integer counts (Macdonald I.6). For s,
+    a_mu = sum_nu K_{nu,mu} b_nu with Kostka numbers K, zero unless
+    nu >= mu and 1 at nu = mu, solved in decreasing lexicographic order.
+    For h, b_nu = sum_lam K_{nu,lam} c_lam from that b, in increasing
+    order; for e the same with b read at the conjugate nu' (the
+    involution omega). For p, a_mu = sum_lam R(lam, mu) c_lam, R counting
+    the ways the parts of lam merge into mu, in increasing order; the
+    only division is by the diagonal R(mu, mu) = prod_i m_i(mu)!.
 
-    Raises InsufficientVariables when basis is h, e or p and k < degree,
-    and NonIntegralCoefficient when the s or m expansion (which is always
-    integral for integral inputs) comes out fractional.
+    Raises InsufficientVariables when basis is h, e or p and k < degree
+    (they need every partition of the degree), and NonIntegralCoefficient
+    when the s or m expansion (always integral for integral inputs)
+    comes out fractional.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
@@ -708,8 +681,24 @@ def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
         )
     parts = list(partitions_of(f.degree, max_len=f.k))
     coords = [f._coords.get(mu, QPoly.zero()) for mu in parts]
-    solve = _solve_triangular if basis in ("s", "m") else _solve_elimination
-    return BasisExpansion(basis, f.degree, solve(basis, parts, coords))
+    rising = parts[::-1]
+    memo: dict = {}
+    if basis == "m":
+        coeffs = {mu: c for mu, c in zip(parts, coords) if c}
+    elif basis == "p":
+        coeffs = _back_substitute(
+            rising, coords[::-1], lambda lam, mu: _product_count("p", lam, mu, memo))
+    else:
+        coeffs = _back_substitute(parts, coords, lambda nu, mu: _kostka(nu, mu, memo))
+        if basis != "s":
+            rhs = [coeffs.get(_conjugate(nu) if basis == "e" else nu, QPoly.zero())
+                   for nu in rising]
+            coeffs = _back_substitute(rising, rhs, lambda lam, nu: _kostka(nu, lam, memo))
+    if basis in ("s", "m"):
+        for lam, c in coeffs.items():
+            if not c.is_integral:
+                raise NonIntegralCoefficient(lam, c)
+    return BasisExpansion(basis, f.degree, coeffs)
 
 
 def ribbon(alpha, k: int) -> SymFunc:

@@ -24,6 +24,13 @@ from .qsymfunc import SymFunc
 from .strips import HorizontalStrip, Row, m_pair
 
 
+def _check_int(value, what: str) -> int:
+    """value itself if it is an int but not a bool, never a truncation."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Vertex weights plus a symmetric edge-weight matrix."""
@@ -74,10 +81,12 @@ class WeightedGraph:
 
     @classmethod
     def from_edges(cls, weights, edges) -> "WeightedGraph":
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(_check_int(w, "vertex weight") for w in weights)
         n = len(weights)
         matrix = [[0] * n for _ in range(n)]
         for i, j, w in edges:
+            i, j = _check_int(i, "edge endpoint"), _check_int(j, "edge endpoint")
+            w = _check_int(w, "edge weight")
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise ValueError(f"bad edge endpoints ({i}, {j})")
             matrix[i - 1][j - 1] = w

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,6 +145,22 @@ def test_chromatic_rejects_zero_colours(runner, source):
     result = invoke(runner, "chromatic", *source, "--vars", "0")
     assert result.exit_code == 2
     assert json.loads(result.stderr)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        '{"weights":[2,1.5],"edges":[[1,2,1]]}',
+        '{"weights":[2,1],"edges":[[1,2,1.0]]}',
+        '{"weights":[true,1],"edges":[[1,2,1]]}',
+    ],
+    ids=["fractional-vertex-weight", "float-edge-weight", "bool-vertex-weight"],
+)
+def test_chromatic_rejects_non_integer_graph_json(runner, graph):
+    result = invoke(runner, "chromatic", "--graph", graph)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == "ParseError"
 
 
 def test_chromatic_wide_rows_hit_precondition(runner):
@@ -311,3 +330,15 @@ def test_run_verify_counts_match_cli_fixture(sweep_main):
     assert report["strips"] == 40
     assert report["mismatches"] == []
     assert len(sweep_main) == 1731
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    result = subprocess.run(
+        [sys.executable, "-m", "lltgraphs", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "verify" in result.stdout

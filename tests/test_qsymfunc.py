@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -21,9 +22,9 @@ from lltgraphs.errors import (
     InexactDivision,
     InsufficientVariables,
     NotSymmetric,
-    PreconditionError,
+    NonIntegralCoefficient,
+    ParseError,
     PreconditionViolated,
-    SingularTransitionMatrix,
 )
 from lltgraphs.llt import LabelledGraph
 from lltgraphs.qsymfunc import (
@@ -72,6 +73,22 @@ def test_qpoly_division():
     assert num.divide(QPoly({1: 1, 0: 2})) is None
     with pytest.raises(ZeroDivisionError):
         num.divide(QPoly.zero())
+
+
+@pytest.mark.parametrize(
+    "coeffs", [{0: 2.7}, {0: 0.5}, {0: True}, {0: "1"}, {1.9: 1}, {True: 1}],
+    ids=["float", "float-below-one", "bool", "str", "float-exponent", "bool-exponent"],
+)
+def test_qpoly_rejects_what_it_would_truncate(coeffs):
+    with pytest.raises(TypeError):
+        QPoly(coeffs)
+
+
+def test_expansion_json_rejects_float_coefficients():
+    for pair in ([0, 0.5], [0, 2.7], [1.9, 1]):
+        obj = {"basis": "s", "degree": 1, "coeffs": [{"partition": [1], "q": [pair]}]}
+        with pytest.raises(ParseError):
+            BasisExpansion.from_json_dict(obj)
 
 
 def test_qpoly_degree_and_coeff():
@@ -199,14 +216,58 @@ def test_to_basis_multiplies_no_polynomials(monkeypatch):
         assert to_basis(f, basis) == want[basis], basis
 
 
-def test_singular_transition_matrix_is_a_typed_fault(monkeypatch):
-    def singular(basis, parts):
-        return [[Fraction(0)] * len(parts) for _ in parts]
+_oracle_kostka = lru_cache(maxsize=None)(kostka)
 
-    monkeypatch.setattr(qsymfunc, "_transition_matrix", singular)
-    with pytest.raises(SingularTransitionMatrix) as caught:
-        to_basis(eval_basis("h", (2, 1), 3), "h")
-    assert not isinstance(caught.value, PreconditionError)
+
+def _oracle_schur_coords(f):
+    """The s-coordinates of f, solved from its m-coordinates against the
+    oracle's Kostka numbers, largest partition first."""
+    coords = {}
+    for mu in partitions_of(f.degree, max_len=f.k):
+        c = f.coeff(_pad(mu, f.k))
+        for nu, d in coords.items():
+            c = c - d * _oracle_kostka(nu, mu)
+        coords[mu] = c
+    return {mu: c for mu, c in coords.items() if c}
+
+
+_COEFF = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@settings(max_examples=80)
+@given(
+    n=st.integers(1, 6),
+    source=st.sampled_from(BASES),
+    integral=st.booleans(),
+    data=st.data(),
+)
+def test_basis_changes_re_evaluate_to_the_input(n, source, integral, data):
+    coeff = st.integers(-5, 5) if integral else _COEFF
+    qpoly = st.dictionaries(st.integers(0, 3), coeff, max_size=3).map(QPoly)
+    terms = data.draw(
+        st.dictionaries(st.sampled_from(list(partitions_of(n))), qpoly, max_size=4)
+    )
+    f = BasisExpansion(source, n, terms).evaluate(n)
+    for basis in "hep":
+        exp = to_basis(f, basis)
+        assert exp.basis == basis
+        assert exp.evaluate(n) == f, basis
+    # s and m refuse exactly the inputs whose expansion has a fraction,
+    # naming its first fractional coefficient in decreasing order
+    monomial = ((mu, f.coeff(_pad(mu, n))) for mu in partitions_of(n))
+    want = {"m": {mu: c for mu, c in monomial if c}, "s": _oracle_schur_coords(f)}
+    for basis, coords in want.items():
+        fractional = [(mu, c) for mu, c in coords.items() if not c.is_integral]
+        if fractional:
+            with pytest.raises(NonIntegralCoefficient) as caught:
+                to_basis(f, basis)
+            got = caught.value
+            assert (got.partition, got.coefficient) == fractional[0], basis
+        else:
+            assert dict(to_basis(f, basis).items()) == coords, basis
 
 
 def test_llt_poly_and_to_basis_list_no_monomials(monkeypatch):
