@@ -283,10 +283,12 @@ class SymFunc:
         """The polynomial with coefficient c on x^lam, and so on every
         rearrangement, for each (partition lam, c) pair; each lam sums to
         degree and has at most k parts, and pairs on one lam add up."""
+        _check_int(k, "variable count")
+        _check_int(degree, "degree")
         if k < 1:
             raise ValueError("need at least one variable")
-        self.k = int(k)
-        self.degree = int(degree)
+        self.k = k
+        self.degree = degree
         data: dict[tuple[int, ...], QPoly] = {}
         for lam, c in coords or ():
             lam = _check_partition(lam)
@@ -420,11 +422,29 @@ def partitions_of(n: int, max_part=None, max_len=None):
             yield (first,) + rest
 
 
+def _check_int(value, what: str) -> int:
+    """value itself when it is an int; a bool, a float or anything else is
+    a TypeError rather than a truncation."""
+    if type(value) is not int:
+        raise TypeError(f"{what} {value!r} is not an int")
+    return value
+
+
 def _check_partition(lam) -> tuple[int, ...]:
-    lam = tuple(int(p) for p in lam)
-    if any(p < 1 for p in lam):
-        raise ValueError(f"partition parts must be positive: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    """lam as a tuple of positive ints in weakly decreasing order; a bool or
+    a float part is a TypeError rather than a truncation."""
+    lam = tuple(lam)
+    ordered = True
+    prev = None
+    for p in lam:
+        if type(p) is not int:
+            raise TypeError(f"partition parts must be ints: {lam!r}")
+        if p < 1:
+            raise ValueError(f"partition parts must be positive: {lam}")
+        if prev is not None and prev < p:
+            ordered = False
+        prev = p
+    if not ordered:
         raise ValueError(f"partition must be weakly decreasing: {lam}")
     return lam
 
@@ -533,7 +553,7 @@ class BasisExpansion:
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
-        self.degree = int(degree)
+        self.degree = _check_int(degree, "degree")
         data: dict[tuple[int, ...], QPoly] = {}
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs

@@ -4,6 +4,11 @@ Covers noncommuting paths, strict pairs and strict sequences, the nesting
 property, a local block rotation that preserves both the weighted graph and
 the polynomial, and a bounded breadth-first search for a move sequence
 relating two strips.
+
+The search's states are flat (lo1, hi1, lo2, hi2, ...) row tuples at
+minimum content 0.  A state is not offered the rotate or commute_swap that
+reached it, an involution leading back to its parent, so leaving it out
+changes neither the order in which states are found nor their number.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import (
     BlockNotSeparable,
@@ -35,7 +40,7 @@ from .strips import (
 from .wgraph import canonical_form, pi_graph
 
 Move = tuple
-State = tuple  # rows as (lo, hi) pairs, minimum content 0
+State = tuple  # rows as one flat (lo1, hi1, lo2, hi2, ...) tuple, minimum content 0
 
 
 @dataclass(frozen=True)
@@ -371,44 +376,65 @@ def apply_moves(strip: HorizontalStrip, moves: list[Move]) -> HorizontalStrip:
 
 
 def _state(strip: HorizontalStrip) -> State:
-    """The strip's rows as (lo, hi) pairs, translated to minimum content 0."""
+    """The strip's rows as one flat tuple (lo1, hi1, lo2, hi2, ...),
+    translated to minimum content 0."""
     low = strip.min_content
-    return tuple((r.lo - low, r.hi - low) for r in strip.rows)
+    return tuple(x - low for r in strip.rows for x in (r.lo, r.hi))
 
 
-def _pairs_commute(r: tuple[int, int], s: tuple[int, int]) -> bool:
-    """commutes() on (lo, hi) pairs.  With r starting strictly left of s,
-    the pairing shifts r right by one in one order only, which changes the
-    overlap unless s ends inside r or a free content separates them."""
-    (a, b), (c, d) = sorted((r, s))
-    return a == c or d <= b or b + 2 <= c
+def _neighbours(state: State, back: Optional[Move] = None) -> list[tuple[Move, State]]:
+    """The search's moves from a normalised flat state, as a list of
+    (move, state) pairs with each state normalised: cycle, rotate 0, every
+    allowed commute_swap, then every allowed local_rotate.  local_rotate is
+    tried only where row t starts in the column after row t-1 ends.
 
-
-def _neighbours(state: State) -> Iterator[tuple[Move, State]]:
-    """The search's moves from a normalised state, each result normalised:
-    cycle, rotate 0, every allowed commute_swap, then every allowed
-    local_rotate."""
-    n = len(state)
-    (lo, hi), rest = state[0], state[1:]
+    `back` is the move that reached `state`.  When it is ("rotate", 0) or a
+    ("commute_swap", t), that move is left out: both are involutions on
+    normalised states, so it would only lead back to the parent.  The other
+    moves keep their order.
+    """
+    lo, hi = state[0], state[1]
     # the cycled row drops by one, so the minimum falls to -1 when it held 0
-    shift = 1 if lo == 0 else 0
-    yield ("cycle",), tuple((a + shift, b + shift) for a, b in rest) + (
-        (lo - 1 + shift, hi - 1 + shift),
-    )
-    top = max(b for _, b in state)
-    yield ("rotate", 0), tuple((top - b, top - a) for a, b in reversed(state))
-    for t in range(1, n):
-        left, right = state[t - 1], state[t]
-        if _pairs_commute(left, right):
-            yield ("commute_swap", t), state[: t - 1] + (right, left) + state[t + 1 :]
-    for t in range(2, n + 1):
-        if state[t - 1][0] != state[t - 2][1] + 1:
+    if lo == 0:
+        cycled = tuple([x + 1 for x in state[2:]]) + (0, hi)
+    else:
+        cycled = state[2:] + (lo - 1, hi - 1)
+    found = [(("cycle",), cycled)]
+    if back != ("rotate", 0):
+        # reflecting through the top content maps the reversed flat tuple
+        # (hi_n, lo_n, ...) onto the rotated rows (top - hi_n, top - lo_n, ...)
+        top = max(state[1::2])
+        found.append((("rotate", 0), tuple([top - x for x in reversed(state)])))
+    skip = back[1] if back is not None and back[0] == "commute_swap" else 0
+    n2 = len(state)
+    for j in range(2, n2, 2):
+        a, b, c, d = state[j - 2 : j + 2]
+        # commutes(): with one row starting strictly left of the other, the
+        # pairing shifts it right by one in one order only, which changes
+        # the overlap unless the other ends inside it or a content
+        # separates them
+        if a < c:
+            if d > b and b + 2 > c:
+                continue
+        elif a > c and b > d and d + 2 > a:
             continue
+        t = j // 2
+        if t != skip:
+            swapped = state[: j - 2] + (c, d, a, b) + state[j + 2 :]
+            found.append((("commute_swap", t), swapped))
+    strip = None
+    for j in range(2, n2, 2):
+        if state[j] != state[j - 1] + 1:
+            continue
+        if strip is None:
+            strip = HorizontalStrip(tuple(map(Row, state[::2], state[1::2])))
+        t = j // 2 + 1
         try:
-            rotated = local_rotate(HorizontalStrip(tuple(Row(a, b) for a, b in state)), t)
+            rotated = local_rotate(strip, t)
         except (HypothesisViolated, BlockNotSeparable):
             continue
-        yield ("local_rotate", t), _state(rotated)
+        found.append((("local_rotate", t), _state(rotated)))
+    return found
 
 
 def similarity_witness(
@@ -418,9 +444,12 @@ def similarity_witness(
 
     Moves are ("translate", d), ("cycle",), ("rotate", c), ("commute_swap", i)
     and ("local_rotate", i).  The search runs over states that are the rows
-    as (lo, hi) pairs shifted to minimum content 0; it stops after `budget`
-    distinct states, which must be at least 1.  Returns None when the budget
-    runs out -- absence proves nothing.
+    as one flat (lo1, hi1, lo2, hi2, ...) tuple shifted to minimum content 0;
+    it stops after `budget` distinct states, which must be at least 1.  No
+    state is offered the rotate or commute_swap that reached it, since that
+    move only leads back to its parent; the states are found in the same
+    order as when every move is offered.  Returns None when the budget runs
+    out -- absence proves nothing.
     """
     if budget < 1:
         raise PreconditionViolated(f"the state budget must be at least 1, got {budget}")
@@ -435,7 +464,8 @@ def similarity_witness(
     frontier = deque([start] if start != goal else [])
     while frontier:
         node = frontier.popleft()
-        for move, nxt in _neighbours(node):
+        link = parent[node]
+        for move, nxt in _neighbours(node, None if link is None else link[1]):
             if nxt in parent:
                 continue
             parent[nxt] = (node, move)

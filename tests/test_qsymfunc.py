@@ -91,6 +91,37 @@ def test_expansion_json_rejects_float_coefficients():
             BasisExpansion.from_json_dict(obj)
 
 
+@pytest.mark.parametrize(
+    "degree, part",
+    [(1.9, 1), (1, 1.2), (1.0, 1), (1, 1.0), (True, 1), (1, True)],
+    ids=["float-degree", "float-part", "whole-float-degree", "whole-float-part",
+         "bool-degree", "bool-part"],
+)
+def test_expansion_json_rejects_what_it_would_truncate(degree, part):
+    obj = {"basis": "s", "degree": degree, "coeffs": [{"partition": [part], "q": [[0, 1]]}]}
+    with pytest.raises(ParseError):
+        BasisExpansion.from_json_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "k, degree, lam",
+    [(2.7, 1, (1,)), (True, 1, (1,)), (2, 1.0, (1,)), (2, False, ()),
+     (2, 1, (1.0,)), (2, 1, (True,))],
+    ids=["float-k", "bool-k", "float-degree", "bool-degree", "float-part", "bool-part"],
+)
+def test_symfunc_rejects_what_it_would_truncate(k, degree, lam):
+    with pytest.raises(TypeError):
+        SymFunc(k, degree, [(lam, QPoly.constant(1))])
+
+
+@pytest.mark.parametrize("lam", [(2.0, 1), (2, True)], ids=["float-part", "bool-part"])
+def test_basis_expansion_and_eval_basis_reject_non_int_parts(lam):
+    with pytest.raises(TypeError):
+        BasisExpansion("s", 3, {lam: 1})
+    with pytest.raises(TypeError):
+        eval_basis("s", lam, 2)
+
+
 def test_qpoly_degree_and_coeff():
     p = QPoly({6: 3, 5: 1})
     assert p.degree == 6

@@ -1,3 +1,7 @@
+import random
+from collections import deque
+from functools import lru_cache
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -35,6 +39,7 @@ from lltgraphs.strips import (
     cycle,
     normalize_translation,
     rotate,
+    translate,
 )
 from lltgraphs import structure
 from lltgraphs.structure import is_minimal_ncp, is_noncommuting_path
@@ -429,9 +434,17 @@ def public_neighbours(strip):
     ]
 
 
+def flat_state(strip):
+    """The search's state of a strip: its rows as one flat (lo, hi, ...)
+    tuple at minimum content 0."""
+    return tuple(x for r in normalize_translation(strip).rows for x in (r.lo, r.hi))
+
+
 def search_neighbours(strip):
-    state = tuple((r.lo, r.hi) for r in normalize_translation(strip).rows)
-    return list(structure._neighbours(state))
+    return [
+        (move, tuple(zip(state[::2], state[1::2])))
+        for move, state in structure._neighbours(flat_state(strip))
+    ]
 
 
 def test_nested_strip_offers_a_local_rotation():
@@ -458,3 +471,133 @@ def small_strips(draw):
 @example(strip=parse_strip("2/0,2/0,5/2"))
 def test_search_moves_match_public_moves(strip):
     assert search_neighbours(strip) == public_neighbours(strip)
+
+
+@settings(max_examples=200)
+@given(strip=small_strips())
+@example(strip=parse_strip("2/0,2/1"))
+@example(strip=parse_strip("2/0,4/1,7/4"))
+def test_search_leaves_out_only_the_move_back(strip):
+    # rotate 0 and every commute_swap are involutions on normalised states,
+    # so the entry left out leads back to the state the move came from
+    state = flat_state(strip)
+    for move, nxt in structure._neighbours(state):
+        full = structure._neighbours(nxt)
+        if move[0] in ("rotate", "commute_swap"):
+            kept = [entry for entry in full if entry[0] != move]
+            assert len(kept) == len(full) - 1, (strip.literal, move)
+            assert dict(full)[move] == state, (strip.literal, move)
+        else:
+            kept = full
+        assert structure._neighbours(nxt, move) == kept, (strip.literal, move)
+
+
+# ---- the search against a reference breadth-first search ---------------------------
+
+def reference_witness(lam, mu, budget, neighbours):
+    """similarity_witness rebuilt on the public moves: breadth-first over
+    rows tuples at minimum content 0, in the order of `neighbours` (a
+    function of such a tuple), with the same stop rule, then the chain
+    replayed with a translate to content 0 after each move that leaves it."""
+    if lam.rows == mu.rows:
+        return []
+    start = tuple((r.lo, r.hi) for r in normalize_translation(lam).rows)
+    goal = tuple((r.lo, r.hi) for r in normalize_translation(mu).rows)
+    parent = {start: None}
+    frontier = deque([start] if start != goal else [])
+    while frontier:
+        node = frontier.popleft()
+        for move, nxt in neighbours(node):
+            if nxt in parent:
+                continue
+            parent[nxt] = (node, move)
+            if nxt == goal or len(parent) >= budget:
+                frontier.clear()
+                break
+            frontier.append(nxt)
+    if goal not in parent:
+        return None
+    chain = []
+    key = goal
+    while parent[key] is not None:
+        key, move = parent[key]
+        chain.append(move)
+    moves = []
+    current = lam
+    for move in [None] + chain[::-1]:
+        if move is not None:
+            moves.append(move)
+            current = apply_move(current, move)
+        if current.min_content != 0:
+            moves.append(("translate", -current.min_content))
+            current = translate(current, -current.min_content)
+    if mu.min_content != 0:
+        moves.append(("translate", mu.min_content))
+    return moves
+
+
+def walk_partner(strip, rng):
+    """The strip after 1-3 public moves drawn by rng, rotating about a
+    random centre, then translated by a random offset."""
+    current = strip
+    for _ in range(rng.randint(1, 3)):
+        move = rng.choice([move for move, _ in public_neighbours(current)])
+        if move[0] == "rotate":
+            move = ("rotate", rng.randint(-3, 3))
+        current = apply_move(current, move)
+    return translate(current, rng.randint(-3, 3))
+
+
+@pytest.fixture(scope="session")
+def sweep_main_buckets(sweep_main, sweep_main_forms):
+    """The verify buckets of the 3/3/4 family, by canonical form."""
+    buckets = {}
+    for strip, form in zip(sweep_main, sweep_main_forms):
+        buckets.setdefault(form, []).append(strip)
+    return buckets
+
+
+REFERENCE_BUDGET_CAP = 300
+
+
+def assert_search_matches_reference(strip, partner):
+    """similarity_witness equals reference_witness at every budget from 1
+    up to one past the goal's index, or up to REFERENCE_BUDGET_CAP."""
+    @lru_cache(maxsize=None)
+    def neighbours(rows):
+        return public_neighbours(strip_of(rows))
+
+    found_at = None
+    for budget in range(1, REFERENCE_BUDGET_CAP + 1):
+        expected = reference_witness(strip, partner, budget, neighbours)
+        assert similarity_witness(strip, partner, budget) == expected, (
+            strip.literal, partner.literal, budget,
+        )
+        if expected is not None:
+            if found_at is not None:
+                break
+            found_at = budget
+
+
+@settings(max_examples=100)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["walk", "bucket"]))
+def test_search_matches_a_reference_bfs(sweep_main_buckets, data, seed, kind):
+    """A walk pair starts from any small strip; a bucket pair is two
+    strips of one verify bucket of the 3/3/4 family, whose strips
+    small_strips() can draw too."""
+    rng = random.Random(seed)
+    if kind == "walk":
+        strip = data.draw(small_strips())
+        partner = walk_partner(strip, rng)
+    else:
+        shared = [b for b in sweep_main_buckets.values() if len(b) > 1]
+        strip, partner = rng.sample(data.draw(st.sampled_from(shared)), 2)
+    assert_search_matches_reference(strip, partner)
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [("2/0,4/1,7/4", "3/0,4/2,7/4"), ("4/0,5/4,8/5,6/1", "5/4,9/5,7/2,3/0")],
+)
+def test_fixed_pairs_match_the_reference_bfs(source, target):
+    assert_search_matches_reference(parse_strip(source), parse_strip(target))
