@@ -7,9 +7,9 @@ kept as exact rationals, never floats. A symmetric polynomial in k
 variables is determined by its m-coordinates, the coefficient of x^mu
 for each partition mu with at most k parts, and SymFunc stores only
 those; its monomials are listed only on demand. Arithmetic and basis
-changes work in the coordinates, the latter by triangular solves against
-integer transition counts from partitions (Macdonald, Symmetric
-Functions and Hall Polynomials, I.6).
+changes work in the coordinates: s by the bialternant, h and e by
+Jacobi-Trudi (Macdonald, Symmetric Functions and Hall Polynomials,
+I.3), p by a triangular solve on integer merge counts (I.6).
 """
 
 from __future__ import annotations
@@ -182,29 +182,18 @@ class QPoly:
         return QPoly(quot)
 
     def __str__(self):
-        if not self._coeffs:
-            return "0"
-        chunks = []
+        text = ""
         for e in sorted(self._coeffs, reverse=True):
             c = self._coeffs[e]
-            sign = "-" if c < 0 else "+"
+            # no sign before a leading positive term
+            sign = "-" if c < 0 else "+" if text else ""
             c = abs(c)
             if isinstance(c, Fraction):
                 body = f"({c})" if e > 0 else str(c)
             else:
                 body = "" if (c == 1 and e > 0) else str(c)
-            if e == 0:
-                term = body
-            elif e == 1:
-                term = f"{body}q"
-            else:
-                term = f"{body}q^{e}"
-            chunks.append((sign, term))
-        first_sign, first_term = chunks[0]
-        text = ("-" if first_sign == "-" else "") + first_term
-        for sign, term in chunks[1:]:
-            text += sign + term
-        return text
+            text += sign + body + ("" if e == 0 else "q" if e == 1 else f"q^{e}")
+        return text or "0"
 
     __repr__ = __str__
 
@@ -374,18 +363,11 @@ class SymFunc:
         # the coefficient of x^nu sums f_e g_{nu - e} over the monomials
         # x^e of f, g_{nu - e} being g's coordinate at the sorted
         # difference; a difference with a negative entry finds none
-        spread = self.terms()
-        degree = self.degree + other.degree
-        coords = []
-        for lam in partitions_of(degree, max_len=self.k):
-            nu = _pad(lam, self.k)
-            total = QPoly.zero()
-            for exps, c in spread:
-                d = other._coords.get(_partition(map(sub, nu, exps)))
-                if d is not None:
-                    total = total + c * d
-            coords.append((lam, total))
-        return SymFunc(self.k, degree, coords)
+        spread, degree = self.terms(), self.degree + other.degree
+        return SymFunc(self.k, degree, (
+            (lam, c * d) for lam in partitions_of(degree, max_len=self.k)
+            for exps, c in spread
+            if (d := other._coords.get(_partition(map(sub, _pad(lam, self.k), exps))))))
 
     __rmul__ = __mul__
 
@@ -404,22 +386,22 @@ class SymFunc:
     __repr__ = __str__
 
 
-def partitions_of(n: int, max_part=None, max_len=None):
+def partitions_of(n: int, max_part=None, max_len=None) -> list:
     """Partitions of n in decreasing lexicographic order, as tuples."""
-    if n < 0:
-        return
-    if n == 0:
-        yield ()
-        return
-    if max_len == 0:
-        return
-    top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(
-            n - first, max_part=first,
-            max_len=None if max_len is None else max_len - 1,
-        ):
-            yield (first,) + rest
+    found = []
+
+    def fill(rest, top, room, prefix):
+        if rest == 0:
+            found.append(prefix)
+        for first in range(min(rest, top), 0, -1):
+            # the next room parts are at most first each
+            if first * room < rest:
+                break
+            fill(rest - first, first, room - 1, prefix + (first,))
+
+    if n >= 0:
+        fill(n, n if max_part is None else max_part, n if max_len is None else max_len, ())
+    return found
 
 
 def _check_int(value, what: str) -> int:
@@ -480,23 +462,51 @@ def _partition(vec) -> tuple[int, ...]:
     return tuple(sorted(filter(None, vec), reverse=True))
 
 
-def _kostka(shape: tuple[int, ...], content: tuple[int, ...], memo: dict) -> int:
-    """K_{shape,content}, the number of semistandard tableaux of the shape
-    with the content, counted by removing the cells of the largest
-    letter: a horizontal strip, at most shape[i] - shape[i+1] from row i."""
-    if len(shape) > len(content):
-        return 0
-    if not content:
-        return 1
-    key = (shape, content)
-    hit = memo.get(key)
-    if hit is None:
-        caps = [a - b for a, b in zip(shape, shape[1:] + (0,))]
-        hit = memo[key] = sum(
-            _kostka(_partition(map(sub, shape, t)), content[:-1], memo)
-            for t in _takes(content[-1], caps)
-        )
-    return hit
+def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(p > i for p in lam) for i in range(lam[0] if lam else 0))
+
+
+def _antisymmetrised(nu: tuple[int, ...]) -> dict:
+    """Sum of sgn(w) over the permutations w of delta = (n-1, ..., 1, 0)
+    leaving nu + delta - w(delta) >= 0, grouped by the partition that
+    vector sorts to (Macdonald I.3). w is fixed from the last row up, row
+    i taking a free value of delta of at most nu_i + delta_i, so trailing
+    zero rows of nu force w: any n >= l(nu) gives the sums on l(nu) rows."""
+    rows = len(nu)
+    if rows < 2:
+        return {nu: 1}
+    tops = [p + rows - 1 - i for i, p in enumerate(nu)]
+    found: dict[tuple[int, ...], int] = {}
+
+    def place(i, free, sign, tail):
+        # the q-th smallest free value makes q inversions with the rows
+        # above; the top row takes the last value, below tops[0] >= rows
+        top = tops[i]
+        for q, d in enumerate(free):
+            if d > top:
+                break
+            s = -sign if q & 1 else sign
+            t = tail + (top - d,) if d < top else tail
+            if i > 1:
+                place(i - 1, free[:q] + free[q + 1:], s, t)
+            else:
+                key = tuple(sorted(t + (tops[0] - free[1 - q],), reverse=True))
+                found[key] = found.get(key, 0) + s
+
+    place(rows - 1, tuple(range(rows)), 1, ())
+    return found
+
+
+def _jacobi_trudi(schur: dict, basis: str) -> dict:
+    """The h- or e-coefficients (basis "h" or "e") of sum_nu schur[nu] s_nu:
+    s_nu = sum_w sgn(w) h_{nu + delta - w(delta)}, and the same in e on
+    the conjugate nu' (Macdonald I.3.4, I.3.5)."""
+    pairs: dict[tuple[int, ...], list] = {}
+    for nu, c in schur.items():
+        for lam, n in _antisymmetrised(_conjugate(nu) if basis == "e" else nu).items():
+            if n:
+                pairs.setdefault(lam, []).extend((e, n * a) for e, a in c._coeffs.items())
+    return {lam: QPoly(p) for lam, p in pairs.items()}
 
 
 def _product_count(basis: str, parts: tuple[int, ...], room: tuple[int, ...],
@@ -523,22 +533,11 @@ def _product_count(basis: str, parts: tuple[int, ...], room: tuple[int, ...],
     return hit
 
 
-def _m_coefficient(basis: str, lam: tuple[int, ...], mu: tuple[int, ...],
-                   memo: dict) -> int:
-    """Coefficient of m_mu in the basis element b_lam, for partitions of
-    one size. The memo must serve a single basis and live for one call."""
-    if basis == "m":
-        return int(lam == mu)
-    if basis == "s":
-        return _kostka(lam, mu, memo)
-    return _product_count(basis, lam, mu, memo)
-
-
 def eval_basis(basis: str, lam, k: int) -> SymFunc:
     """The basis element named by partition lam, as a polynomial in k
-    variables: its m-coordinates, counted by _m_coefficient. A Schur or
-    monomial element needing more than k rows evaluates to the zero
-    polynomial rather than raising.
+    variables, by BasisExpansion.evaluate. A Schur or monomial element
+    needing more than k rows evaluates to the zero polynomial rather than
+    raising.
     """
     lam = _check_partition(lam)
     return BasisExpansion(basis, sum(lam), {lam: 1}).evaluate(k)
@@ -596,13 +595,18 @@ class BasisExpansion:
 
     def evaluate(self, k: int) -> SymFunc:
         """Expand back into a polynomial in k variables by summing the
-        terms in m-coordinates."""
+        terms in m-coordinates, s by way of h (Jacobi-Trudi); an s_lam with
+        more than k rows is zero in k variables."""
+        if self.basis == "s":
+            fits = {lam: c for lam, c in self._coeffs.items() if len(lam) <= k}
+            return BasisExpansion("h", self.degree, _jacobi_trudi(fits, "h")).evaluate(k)
         memo: dict = {}
         coords = []
         for mu in partitions_of(self.degree, max_len=k):
             total = QPoly.zero()
             for lam, c in self._coeffs.items():
-                count = _m_coefficient(self.basis, lam, mu, memo)
+                count = (int(lam == mu) if self.basis == "m"
+                         else _product_count(self.basis, lam, mu, memo))
                 if count:
                     total = total + c * count
             coords.append((mu, total))
@@ -651,44 +655,21 @@ class BasisExpansion:
             raise ParseError(f"bad basis expansion JSON: {exc}") from None
 
 
-def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(p > i for p in lam) for i in range(lam[0] if lam else 0))
-
-
-def _back_substitute(parts: list, rhs: list, count) -> dict:
-    """The x with rhs[mu] = sum over nu of count(nu, mu) x[nu] for each mu
-    in parts, where count(nu, mu) is an integer that is zero unless nu
-    comes no later than mu in parts: taking parts in turn, x[mu] is
-    rhs[mu] less the terms already solved, divided by count(mu, mu)."""
-    x: dict[tuple[int, ...], QPoly] = {}
-    for mu, c in zip(parts, rhs):
-        solved = [(e, -a * n) for nu, d in x.items() if (n := count(nu, mu))
-                  for e, a in d._coeffs.items()]
-        c = QPoly(list(c._coeffs.items()) + solved)
-        if c:
-            diag = count(mu, mu)
-            x[mu] = c if diag == 1 else c * Fraction(1, diag)
-    return x
-
-
 def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
     """Expand a symmetric homogeneous polynomial in the named basis.
 
-    Only the stored m-coordinates a of f are read: a_mu is the
-    coefficient of x^mu for each partition mu with at most k parts. Each
-    basis is a triangular solve on integer counts (Macdonald I.6). For s,
-    a_mu = sum_nu K_{nu,mu} b_nu with Kostka numbers K, zero unless
-    nu >= mu and 1 at nu = mu, solved in decreasing lexicographic order.
-    For h, b_nu = sum_lam K_{nu,lam} c_lam from that b, in increasing
-    order; for e the same with b read at the conjugate nu' (the
-    involution omega). For p, a_mu = sum_lam R(lam, mu) c_lam, R counting
-    the ways the parts of lam merge into mu, in increasing order; the
-    only division is by the diagonal R(mu, mu) = prod_i m_i(mu)!.
+    Only the stored m-coordinates a of f are read, a_mu being the
+    coefficient of x^mu. The coefficient of s_lam is that of x^(lam+delta)
+    in f a_delta, the bialternant sum_w sgn(w) a_{sort(lam+delta-w(delta))}
+    over the permutations w of delta = (k-1, ..., 1, 0) (Macdonald I.3);
+    h and e follow from s by Jacobi-Trudi. For p, a_mu = sum_lam R(lam,
+    mu) c_lam with R counting the ways the parts of lam merge into mu,
+    solved in increasing order, dividing only by R(mu, mu) (I.6).
 
     Raises InsufficientVariables when basis is h, e or p and k < degree
-    (they need every partition of the degree), and NonIntegralCoefficient
-    when the s or m expansion (always integral for integral inputs)
-    comes out fractional.
+    (they need every partition of the degree), and NonIntegralCoefficient,
+    naming the first in decreasing order, when the s or m expansion
+    (always integral for integral inputs) comes out fractional.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
@@ -700,20 +681,32 @@ def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
             f"{f.degree} variables, got {f.k}"
         )
     parts = list(partitions_of(f.degree, max_len=f.k))
-    coords = [f._coords.get(mu, QPoly.zero()) for mu in parts]
-    rising = parts[::-1]
-    memo: dict = {}
+    coords = f._coords
+    coeffs: dict[tuple[int, ...], QPoly] = {}
     if basis == "m":
-        coeffs = {mu: c for mu, c in zip(parts, coords) if c}
+        coeffs = {mu: coords[mu] for mu in parts if mu in coords}
     elif basis == "p":
-        coeffs = _back_substitute(
-            rising, coords[::-1], lambda lam, mu: _product_count("p", lam, mu, memo))
+        memo: dict = {}
+        for mu in reversed(parts):
+            solved = [(e, -a * n) for lam, d in coeffs.items()
+                      if (n := _product_count("p", lam, mu, memo))
+                      for e, a in d._coeffs.items()]
+            c = QPoly(list(coords.get(mu, QPoly.zero())._coeffs.items()) + solved)
+            if c:
+                diag = _product_count("p", mu, mu, memo)
+                coeffs[mu] = c if diag == 1 else c * Fraction(1, diag)
     else:
-        coeffs = _back_substitute(parts, coords, lambda nu, mu: _kostka(nu, mu, memo))
+        for lam in parts:
+            # plain numbers first: most of these sums cancel to zero
+            acc: dict[int, object] = {}
+            for mu, n in _antisymmetrised(lam).items():
+                if n and mu in coords:
+                    for e, a in coords[mu]._coeffs.items():
+                        acc[e] = acc.get(e, 0) + n * a
+            if any(acc.values()):
+                coeffs[lam] = QPoly(acc)
         if basis != "s":
-            rhs = [coeffs.get(_conjugate(nu) if basis == "e" else nu, QPoly.zero())
-                   for nu in rising]
-            coeffs = _back_substitute(rising, rhs, lambda lam, nu: _kostka(nu, lam, memo))
+            coeffs = _jacobi_trudi(coeffs, basis)
     if basis in ("s", "m"):
         for lam, c in coeffs.items():
             if not c.is_integral:

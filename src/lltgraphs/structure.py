@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     BlockNotSeparable,
@@ -382,11 +382,12 @@ def _state(strip: HorizontalStrip) -> State:
     return tuple(x - low for r in strip.rows for x in (r.lo, r.hi))
 
 
-def _neighbours(state: State, back: Optional[Move] = None) -> list[tuple[Move, State]]:
-    """The search's moves from a normalised flat state, as a list of
-    (move, state) pairs with each state normalised: cycle, rotate 0, every
-    allowed commute_swap, then every allowed local_rotate.  local_rotate is
-    tried only where row t starts in the column after row t-1 ends.
+def _neighbours(state: State, back: Optional[Move] = None) -> Iterable[tuple[Move, State]]:
+    """The search's moves from a normalised flat state, as (move, state)
+    pairs with each state normalised: cycle, rotate 0, every allowed
+    commute_swap, then every allowed local_rotate.  local_rotate is tried
+    only where row t starts in the column after row t-1 ends, and only
+    when the caller reaches it, so a search never builds one past its stop.
 
     `back` is the move that reached `state`.  When it is ("rotate", 0) or a
     ("commute_swap", t), that move is left out: both are involutions on
@@ -422,19 +423,25 @@ def _neighbours(state: State, back: Optional[Move] = None) -> list[tuple[Move, S
         if t != skip:
             swapped = state[: j - 2] + (c, d, a, b) + state[j + 2 :]
             found.append((("commute_swap", t), swapped))
-    strip = None
     for j in range(2, n2, 2):
+        if state[j] == state[j - 1] + 1:
+            return chain(found, _local_rotations(state, j))
+    return found
+
+
+def _local_rotations(state: State, first: int) -> Iterator[tuple[Move, State]]:
+    """The allowed local_rotate moves of a flat state, one at a time, for
+    each row t = j/2 + 1, j >= first, starting right after row t-1 ends."""
+    strip = HorizontalStrip(tuple(map(Row, state[::2], state[1::2])))
+    for j in range(first, len(state), 2):
         if state[j] != state[j - 1] + 1:
             continue
-        if strip is None:
-            strip = HorizontalStrip(tuple(map(Row, state[::2], state[1::2])))
         t = j // 2 + 1
         try:
             rotated = local_rotate(strip, t)
         except (HypothesisViolated, BlockNotSeparable):
             continue
-        found.append((("local_rotate", t), _state(rotated)))
-    return found
+        yield ("local_rotate", t), _state(rotated)
 
 
 def similarity_witness(

@@ -5,6 +5,7 @@ nothing from the package, so a library bug cannot hide inside its own
 oracle.
 """
 
+from fractions import Fraction
 from itertools import (
     combinations,
     combinations_with_replacement,
@@ -230,6 +231,37 @@ def brute_basis(basis, lam, k):
     for r in lam:
         acc = _mono_mul(acc, part(r, k))
     return acc
+
+
+def h_in_e(n):
+    """The e-coefficients of h_n from H(t) E(-t) = 1: h_n is the sum over
+    the compositions alpha of n of (-1)^(n - len(alpha)) e_alpha."""
+    out = {}
+    for cuts in product((False, True), repeat=n - 1):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 0
+            run += 1
+        parts.append(run)
+        key = tuple(sorted(parts, reverse=True))
+        out[key] = out.get(key, 0) + (-1) ** (n - len(parts))
+    return {lam: c for lam, c in out.items() if c}
+
+
+def h_in_p(n):
+    """The p-coefficients of h_n from Newton's identity
+    m h_m = sum_{r=1}^{m} p_r h_{m-r}, as Fractions."""
+    expansions = [{(): Fraction(1)}]
+    for m in range(1, n + 1):
+        out = {}
+        for r in range(1, m + 1):
+            for lam, c in expansions[m - r].items():
+                key = tuple(sorted(lam + (r,), reverse=True))
+                out[key] = out.get(key, 0) + c / m
+        expansions.append(out)
+    return expansions[n]
 
 
 def brute_ribbon(alpha, k):

@@ -29,14 +29,14 @@ from lltgraphs.errors import (
 from lltgraphs.llt import LabelledGraph
 from lltgraphs.qsymfunc import (
     BASES,
-    _m_coefficient,
+    _product_count,
     divide_qpoly,
     partitions_of,
     plethystic_q_substitute,
 )
 from lltgraphs.strips import HorizontalStrip, Row
 
-from oracle import _mono_mul, brute_basis, brute_llt, brute_ribbon, kostka
+from oracle import _mono_mul, brute_basis, brute_llt, brute_ribbon, h_in_e, h_in_p, kostka
 
 MAX_FILLINGS = 2000
 
@@ -167,11 +167,12 @@ def _pad(mu, k):
 
 
 def test_kostka_counts_match_oracle():
+    # the m-coordinates of s_lam, by Jacobi-Trudi into h product counts
     for n in range(1, 8):
-        memo = {}
         for lam in partitions_of(n):
+            s_lam = eval_basis("s", lam, n)
             for mu in partitions_of(n):
-                assert _m_coefficient("s", lam, mu, memo) == kostka(lam, mu), (lam, mu)
+                assert s_lam.coeff(_pad(mu, n)) == kostka(lam, mu), (lam, mu)
 
 
 @pytest.mark.parametrize("basis", ["h", "e", "p"])
@@ -181,7 +182,7 @@ def test_product_counts_match_brute_force(basis):
         for lam in partitions_of(n):
             brute = brute_basis(basis, lam, n)
             for mu in partitions_of(n):
-                got = _m_coefficient(basis, lam, mu, memo)
+                got = _product_count(basis, lam, mu, memo)
                 assert got == brute.get(_pad(mu, n), 0), (basis, lam, mu)
 
 
@@ -299,6 +300,43 @@ def test_basis_changes_re_evaluate_to_the_input(n, source, integral, data):
             assert (got.partition, got.coefficient) == fractional[0], basis
         else:
             assert dict(to_basis(f, basis).items()) == coords, basis
+
+
+@settings(max_examples=150)
+@given(n=st.integers(1, 6), integral=st.booleans(), data=st.data())
+def test_schur_coordinates_match_the_oracle_kostka_solve(n, integral, data):
+    # any m-coordinates make a symmetric polynomial; k runs from below the
+    # longest partition's length to above the degree
+    k = data.draw(st.integers(1, n + 2), label="k")
+    coeff = st.integers(-5, 5) if integral else _COEFF
+    qpoly = st.dictionaries(st.integers(0, 3), coeff, max_size=3).map(QPoly)
+    coords = data.draw(
+        st.dictionaries(st.sampled_from(list(partitions_of(n, max_len=k))), qpoly,
+                        max_size=5),
+        label="coords",
+    )
+    f = SymFunc(k, n, coords.items())
+    want = _oracle_schur_coords(f)
+    fractional = [(mu, c) for mu, c in want.items() if not c.is_integral]
+    if fractional:
+        with pytest.raises(NonIntegralCoefficient) as caught:
+            to_basis(f, "s")
+        assert (caught.value.partition, caught.value.coefficient) == fractional[0]
+    else:
+        assert dict(to_basis(f, "s").items()) == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_single_row_expands_as_h_n(n):
+    # a single row has no inversions, so its polynomial is h_n = s_(n)
+    one = {(n,): 1}
+    for k in (1, n, n + 1):
+        f = llt_poly(parse_strip(f"{n}/0"), k)
+        assert dict(to_basis(f, "s").items()) == {(n,): QPoly.one()}, k
+    f = llt_poly(parse_strip(f"{n}/0"), n)
+    for basis, coeffs in {"h": one, "e": h_in_e(n), "p": h_in_p(n)}.items():
+        want = {lam: QPoly.constant(c) for lam, c in coeffs.items()}
+        assert dict(to_basis(f, basis).items()) == want, basis
 
 
 def test_llt_poly_and_to_basis_list_no_monomials(monkeypatch):

@@ -453,6 +453,27 @@ def test_nested_strip_offers_a_local_rotation():
     assert ("local_rotate", 2) in moves
 
 
+def test_search_builds_no_local_rotation_after_its_stopping_entry(monkeypatch):
+    # the start state lists a local rotation after its cycle and rotate
+    # entries; a search that stops on one of those, at its goal or at its
+    # budget, never builds the rotation
+    lam = parse_strip("2/0,4/2,5/0")
+    calls = []
+
+    def counted(strip, t, real=structure.local_rotate):
+        calls.append(t)
+        return real(strip, t)
+
+    monkeypatch.setattr(structure, "local_rotate", counted)
+    assert similarity_witness(lam, cycle(lam)) is not None
+    assert similarity_witness(lam, rotate(lam, 0)) is not None
+    assert similarity_witness(lam, commute_swap(lam, 2), budget=2) is None
+    assert calls == []
+    # the entry is there when the caller reaches it
+    assert [move for move, _ in search_neighbours(lam)][-1] == ("local_rotate", 2)
+    assert calls == [2]
+
+
 @st.composite
 def small_strips(draw):
     """1-6 rows of 1-4 cells, every content in 0..8."""
@@ -482,14 +503,14 @@ def test_search_leaves_out_only_the_move_back(strip):
     # so the entry left out leads back to the state the move came from
     state = flat_state(strip)
     for move, nxt in structure._neighbours(state):
-        full = structure._neighbours(nxt)
+        full = list(structure._neighbours(nxt))
         if move[0] in ("rotate", "commute_swap"):
             kept = [entry for entry in full if entry[0] != move]
             assert len(kept) == len(full) - 1, (strip.literal, move)
             assert dict(full)[move] == state, (strip.literal, move)
         else:
             kept = full
-        assert structure._neighbours(nxt, move) == kept, (strip.literal, move)
+        assert list(structure._neighbours(nxt, move)) == kept, (strip.literal, move)
 
 
 # ---- the search against a reference breadth-first search ---------------------------
