@@ -1,27 +1,26 @@
-"""Chromatic symmetric functions, their q-refinement on labelled
+"""Chromatic symmetric functions, their q-refinement on unit-weight
 graphs, the weighted-path identities, and the substitution bridge back
 to unicellular strip polynomials.
 
-The extended chromatic function of a vertex-weighted graph sums
-x_{colour(v)}^{weight(v)} over proper colourings. On a labelled graph
-each proper colouring is additionally weighted by q^(ascents), with an
-ascent being an edge whose higher-labelled endpoint gets the strictly
-larger colour. Neither sum lists colourings: a colour class is an
-independent set, so both run on llt.partition_dp with the colour
-classes as its letters, colouring one independent set per step. For
-weighted paths indexed by compositions both families collapse to signed
-sums over the coarsening multiset, and the unicellular strip polynomial
-turns into the ascent-weighted chromatic function after substituting
-x -> x(q-1) and dividing by (q-1)^n.
+Graphs are wgraph.WeightedGraph values. The extended chromatic function
+sums x_{colour(v)}^{weight(v)} over proper colourings, any nonzero edge
+weight counting as an edge. On a unit-weight graph each proper colouring
+is additionally weighted by q^(ascents), with an ascent being an edge
+whose later vertex gets the strictly larger colour. Neither sum lists
+colourings: a colour class is an independent set, so both run on
+llt.partition_dp with the colour classes as its letters, colouring one
+independent set per step. For weighted paths indexed by compositions
+both families collapse to signed sums over the coarsening multiset, and
+the unicellular strip polynomial turns into the ascent-weighted
+chromatic function after substituting x -> x(q-1) and dividing by
+(q-1)^n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import compositions as comps
-from .errors import InexactDivision, NotSymmetric, NotUnicellular
-from .llt import LabelledGraph, gamma_graph, llt_poly, partition_dp
+from .errors import InexactDivision, NotSymmetric, NotUnicellular, PreconditionViolated
+from .llt import llt_poly, partition_dp
 from .qsymfunc import (
     BasisExpansion,
     QPoly,
@@ -31,48 +30,15 @@ from .qsymfunc import (
     to_basis,
 )
 from .strips import HorizontalStrip
+from .wgraph import WeightedGraph, gamma_graph
 
 
-@dataclass(frozen=True)
-class VertexWeightedGraph:
-    """Positive vertex weights and an undirected, loop-free edge set
-    (1-based endpoint pairs)."""
-
-    weights: tuple[int, ...]
-    edges: frozenset
-
-    def __post_init__(self):
-        if not self.weights:
-            raise ValueError("graph needs at least one vertex")
-        if any(w < 1 for w in self.weights):
-            raise ValueError("vertex weights must be positive")
-        for a, b in self.edges:
-            if not (1 <= a < b <= self.n):
-                raise ValueError(f"bad edge ({a}, {b}) on {self.n} vertices")
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
-
-
-def path_graph(alpha) -> VertexWeightedGraph:
-    """The weighted path: vertex i weighted by the ith part, edges
+def path_graph(alpha) -> WeightedGraph:
+    """The weighted path: vertex i weighted by the ith part, unit edges
     joining consecutive vertices."""
     alpha = comps.as_composition(alpha)
-    n = len(alpha)
-    return VertexWeightedGraph(
-        alpha, frozenset((i, i + 1) for i in range(1, n))
-    )
-
-
-def from_weighted_graph(g) -> VertexWeightedGraph:
-    """Adjacency view of a weighted interval graph: any nonzero edge
-    weight counts as an edge."""
-    return VertexWeightedGraph(
-        tuple(g.weights), frozenset((i, j) for i, j, _ in g.edge_list())
+    return WeightedGraph.from_edges(
+        alpha, [(i, i + 1, 1) for i in range(1, len(alpha))]
     )
 
 
@@ -115,30 +81,38 @@ def _colouring_sum(weights, edges, ascents, k: int) -> SymFunc:
     return partition_dp(k, sum(weights), 0, (1 << len(weights)) - 1, step)
 
 
-def extended_chromatic(graph: VertexWeightedGraph, k: int) -> SymFunc:
-    """Sum over proper colourings of the product of x_colour^weight."""
-    return _colouring_sum(graph.weights, graph.edges, (), k)
+def extended_chromatic(graph: WeightedGraph, k: int) -> SymFunc:
+    """Sum over proper colourings of the product of x_colour^weight, any
+    nonzero edge weight counting as an edge."""
+    edges = [(i, j) for i, j, _ in graph.edge_list()]
+    return _colouring_sum(graph.weights, edges, (), k)
 
 
-def chrom_quasisym(graph: LabelledGraph, k: int) -> SymFunc:
-    """Proper colourings of a labelled graph, weighted by q^(ascents).
+def chrom_quasisym(graph: WeightedGraph, k: int) -> SymFunc:
+    """Proper colourings of a unit-weight graph, weighted by q^(ascents)
+    along the vertex order.
 
-    The labelling must be a natural unit interval order: for every edge
-    (a, c) and every b with a < b < c, both (a, b) and (b, c) are edges.
-    Shareshian and Wachs (Adv. Math. 2016) show the sum is then
+    The vertex order must be a natural unit interval order: for every
+    edge (a, c) and every b with a < b < c, both (a, b) and (b, c) are
+    edges. Shareshian and Wachs (Adv. Math. 2016) show the sum is then
     symmetric, which the partition-coordinate DP needs; every graph
     gamma_graph builds qualifies. Otherwise NotSymmetric is raised,
     naming a failing triple, even where the sum happens to be symmetric.
+    A vertex weight other than 1 raises PreconditionViolated.
     """
-    edges = graph.sorted_edges
+    if any(w != 1 for w in graph.weights):
+        raise PreconditionViolated(
+            f"ascent-weighted colourings need unit vertex weights, got {graph.weights}"
+        )
+    edges = [(a, c) for a, c, _ in graph.edge_list()]
     for a, c in edges:
         for b in range(a + 1, c):
-            if (a, b) not in graph.edges or (b, c) not in graph.edges:
+            if not (graph.edge(a, b) and graph.edge(b, c)):
                 raise NotSymmetric(
                     f"labelling is not a natural unit interval order: edge "
                     f"({a}, {c}) without both ({a}, {b}) and ({b}, {c})"
                 )
-    return _colouring_sum((1,) * graph.n, edges, edges, k)
+    return _colouring_sum(graph.weights, edges, edges, k)
 
 
 def path_p_expansion(alpha) -> BasisExpansion:
@@ -181,7 +155,7 @@ def verify_plethysm_bridge(strip: HorizontalStrip) -> bool:
     """Check, on one unicellular strip, that the substitution
     x -> x(q-1) applied to the strip polynomial and divided by
     (q-1)^n reproduces the ascent-weighted chromatic function of the
-    strip's labelled graph. Inexact division counts as failure."""
+    strip's gamma graph. Inexact division counts as failure."""
     if not strip.is_unicellular:
         raise NotUnicellular(f"{strip.literal} has a row with more than one cell")
     n = strip.n

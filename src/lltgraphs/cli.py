@@ -18,14 +18,9 @@ import click
 
 from . import __version__
 from . import compositions as comps
-from .chromatic import (
-    chrom_quasisym,
-    extended_chromatic,
-    from_weighted_graph,
-    path_llt_h_expansion,
-)
+from .chromatic import chrom_quasisym, extended_chromatic, path_llt_h_expansion
 from .errors import ParseError, PreconditionError
-from .llt import gamma_graph, llt_poly
+from .llt import llt_poly
 from .qsymfunc import BasisExpansion, SymFunc, to_basis
 from .strips import HorizontalStrip, Row, format_strip, parse_strip, strip_of_composition
 from .structure import (
@@ -35,25 +30,12 @@ from .structure import (
     strict_pairs,
     strict_sequences,
 )
-from .wgraph import canonical_form, is_isomorphic, pi_graph, WeightedGraph
+from .wgraph import canonical_form, gamma_graph, is_isomorphic, pi_graph, WeightedGraph
 
 
 def partition_key(parts) -> str:
     """Render an integer tuple as the compact key "(6,4,3)"."""
     return "(" + ",".join(str(p) for p in parts) + ")"
-
-
-def parse_partition_key(key: str) -> tuple:
-    body = key.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ParseError(f"bad partition key {key!r}")
-    inner = body[1:-1].strip()
-    if not inner:
-        return ()
-    try:
-        return tuple(int(p) for p in inner.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad partition key {key!r}") from exc
 
 
 def expansion_payload(exp: BasisExpansion) -> dict:
@@ -293,7 +275,7 @@ def cmd_chromatic(graph_text, strip_text, k, fmt):
         if (graph_text is None) == (strip_text is None):
             raise ParseError("give exactly one of --graph or --strip")
         if graph_text is not None:
-            graph = from_weighted_graph(_load_graph(graph_text))
+            graph = _load_graph(graph_text)
             f = extended_chromatic(graph, graph.n if k is None else k)
             return symfunc_payload(f), False
         cells = gamma_graph(parse_strip(strip_text))

@@ -19,8 +19,11 @@ Composition = tuple[int, ...]
 
 
 def as_composition(parts) -> Composition:
-    """Validate and return parts as a composition tuple."""
-    alpha = tuple(int(p) for p in parts)
+    """Validate and return parts as a composition tuple; a bool or a
+    float part is a TypeError rather than a truncation."""
+    alpha = tuple(parts)
+    if any(type(p) is not int for p in alpha):
+        raise TypeError(f"composition parts must be ints: {alpha!r}")
     if not alpha:
         raise ParseError("composition must be nonempty")
     if any(p < 1 for p in alpha):

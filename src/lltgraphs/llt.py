@@ -7,7 +7,8 @@ share a content and the earlier row's entry is larger, or the earlier
 cell's content is one higher and its entry is smaller. Summing
 q^(inversions) x^(content multiset) over all fillings gives the strip's
 polynomial; for unicellular strips the same sum can be read off the
-labelled graph of gamma_graph by counting ascents of vertex colourings.
+cell graph of wgraph.gamma_graph by counting ascents of vertex
+colourings.
 
 The statistic is local in content, as in Haglund-Haiman-Loehr (JAMS
 2005), so llt_poly never lists tableaux. It places the letters 1, 2, ...
@@ -16,75 +17,17 @@ counts each letter's inversions as overlaps between the content
 intervals it fills and those still empty. partition_dp drives such a
 letter-by-letter count once per partition of the total and reads the
 other monomials off by symmetry; the colouring sums of chromatic.py run
-on the same driver, one colour class per letter. `inversions` keeps the
-direct cell-pair count for a single tableau.
+on the same driver, one colour class per letter. No tableau is ever
+built: the independent cell-pair count lives in the test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .errors import NotUnicellular, PreconditionViolated
+from .errors import PreconditionViolated
 from .qsymfunc import BasisExpansion, QPoly, SymFunc
 from .strips import HorizontalStrip, Row
-
-StripTableau = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class LabelledGraph:
-    """Graph on vertices labelled 1..n; the labelling is meaningful
-    because ascent counting compares colour values along label order."""
-
-    n: int
-    edges: frozenset
-
-    def __post_init__(self):
-        for a, b in self.edges:
-            if not (1 <= a < b <= self.n):
-                raise ValueError(f"bad edge ({a}, {b}) on {self.n} vertices")
-
-    @property
-    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
-
-
-def validate_tableau(strip: HorizontalStrip, tableau) -> StripTableau:
-    t = tuple(tuple(int(e) for e in row) for row in tableau)
-    if len(t) != strip.n:
-        raise ValueError(f"tableau has {len(t)} rows, strip has {strip.n}")
-    for row, entries in zip(strip.rows, t):
-        if len(entries) != row.size:
-            raise ValueError(f"row {row.literal} needs {row.size} entries")
-        if any(e < 1 for e in entries):
-            raise ValueError("entries must be positive")
-        if any(entries[i] > entries[i + 1] for i in range(len(entries) - 1)):
-            raise ValueError(f"row entries must weakly increase: {entries}")
-    return t
-
-
-def inversions(strip: HorizontalStrip, tableau) -> int:
-    """Inversion count by direct cell-pair inspection."""
-    t = validate_tableau(strip, tableau)
-    total = 0
-    rows = strip.rows
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            total += _pair_inversions(rows[i], t[i], rows[j], t[j])
-    return total
-
-
-def _pair_inversions(ri: Row, ti, rj: Row, tj) -> int:
-    # ri carries the earlier index
-    inv = 0
-    for c in range(max(ri.lo, rj.lo), min(ri.hi, rj.hi) + 1):
-        if ti[c - ri.lo] > tj[c - rj.lo]:
-            inv += 1
-    for c in range(max(ri.lo, rj.lo + 1), min(ri.hi, rj.hi + 1) + 1):
-        if ti[c - ri.lo] < tj[c - 1 - rj.lo]:
-            inv += 1
-    return inv
 
 
 def _rows_interact(r: Row, s: Row) -> bool:
@@ -191,26 +134,3 @@ def two_row_schur(a: int, b: int, m: int) -> BasisExpansion:
         lam = (a + b - t, t) if t else ((a + b,) if a + b else ())
         coeffs[lam] = QPoly.q_power(min(m, t))
     return BasisExpansion("s", a + b, coeffs)
-
-
-def gamma_graph(strip: HorizontalStrip) -> LabelledGraph:
-    """Labelled inversion graph of a unicellular strip: cells in
-    decreasing content order (ties broken by higher strip row first),
-    edges wherever two cells could invert."""
-    if not strip.is_unicellular:
-        raise NotUnicellular(f"{strip.literal} has a row with more than one cell")
-    cells = sorted(
-        ((r.lo, i + 1) for i, r in enumerate(strip.rows)),
-        key=lambda cr: (-cr[0], -cr[1]),
-    )
-    edges = set()
-    n = len(cells)
-    for a in range(n):
-        ca, ra = cells[a]
-        for b in range(a + 1, n):
-            cb, rb = cells[b]
-            if ca == cb:
-                edges.add((a + 1, b + 1))
-            elif ca == cb + 1 and ra < rb:
-                edges.add((a + 1, b + 1))
-    return LabelledGraph(n, frozenset(edges))

@@ -14,7 +14,6 @@ I.3), p by a triangular solve on integer merge counts (I.6).
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -196,56 +195,6 @@ class QPoly:
         return text or "0"
 
     __repr__ = __str__
-
-    _TERM_RE = re.compile(
-        r"^(?:\((\d+)/(\d+)\)|(\d+)/(\d+)|(\d+))?(q(?:\^(\d+))?)?$"
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> "QPoly":
-        """Inverse of str(): parse literals like "3q^6+q^5" or "-(1/2)q+1"."""
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise ParseError("empty q-polynomial literal")
-        if s == "0":
-            return cls.zero()
-        # split into signed terms
-        terms = []
-        i = 0
-        sign = 1
-        if s[0] in "+-":
-            sign = -1 if s[0] == "-" else 1
-            i = 1
-        start = i
-        while i <= len(s):
-            if i == len(s) or s[i] in "+-":
-                terms.append((sign, s[start:i]))
-                if i < len(s):
-                    sign = -1 if s[i] == "-" else 1
-                start = i + 1
-            i += 1
-        coeffs: dict[int, object] = {}
-        for sgn, body in terms:
-            m = cls._TERM_RE.match(body)
-            if not m or not body:
-                raise ParseError(f"bad q-polynomial term {body!r} in {text!r}")
-            pnum, pden, num, den, whole, qpart, qexp = m.groups()
-            if pnum is not None:
-                c = Fraction(int(pnum), int(pden))
-            elif num is not None:
-                c = Fraction(int(num), int(den))
-            elif whole is not None:
-                c = Fraction(int(whole))
-            elif qpart:
-                c = Fraction(1)
-            else:
-                raise ParseError(f"bad q-polynomial term {body!r} in {text!r}")
-            if qpart:
-                e = int(qexp) if qexp is not None else 1
-            else:
-                e = 0
-            coeffs[e] = coeffs.get(e, 0) + sgn * c
-        return cls(coeffs)
 
 
 def _orbit_size(exps: tuple[int, ...]) -> int:
@@ -595,11 +544,27 @@ class BasisExpansion:
 
     def evaluate(self, k: int) -> SymFunc:
         """Expand back into a polynomial in k variables by summing the
-        terms in m-coordinates, s by way of h (Jacobi-Trudi); an s_lam with
-        more than k rows is zero in k variables."""
+        terms in m-coordinates; an s_lam with more than k rows is zero in
+        k variables.
+
+        s inverts the bialternant read of to_basis, c_mu = sum_nu A(mu)[nu]
+        a_nu with A(mu) = _antisymmetrised(mu): each nu there dominates mu,
+        so it comes first in decreasing lexicographic order, and A(mu)[mu]
+        = 1. Solved from the top, a_mu = c_mu - sum_{nu != mu} A(mu)[nu]
+        a_nu, starting at the largest partition with a coefficient."""
         if self.basis == "s":
-            fits = {lam: c for lam, c in self._coeffs.items() if len(lam) <= k}
-            return BasisExpansion("h", self.degree, _jacobi_trudi(fits, "h")).evaluate(k)
+            coords: dict[tuple[int, ...], QPoly] = {}
+            top = max(self._coeffs, default=())
+            for mu in partitions_of(self.degree, max_len=k):
+                if mu > top:
+                    continue
+                solved = [(e, -n * a) for nu, n in _antisymmetrised(mu).items()
+                          if nu != mu and nu in coords
+                          for e, a in coords[nu]._coeffs.items()]
+                c = QPoly(list(self.coeff(mu)._coeffs.items()) + solved)
+                if c:
+                    coords[mu] = c
+            return SymFunc(k, self.degree, coords.items())
         memo: dict = {}
         coords = []
         for mu in partitions_of(self.degree, max_len=k):

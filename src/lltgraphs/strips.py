@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     PreconditionViolated,
 )
+from .qsymfunc import _check_partition
 
 
 @dataclass(frozen=True, order=True)
@@ -249,12 +250,9 @@ def strip_of_composition(alpha) -> HorizontalStrip:
 
 
 def hl_strip(partition) -> HorizontalStrip:
-    """All rows left-justified at content 0, row sizes the given parts."""
-    parts = tuple(int(p) for p in partition)
-    if any(p < 1 for p in parts):
-        raise ValueError("row sizes must be positive")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError("expected weakly decreasing sizes")
+    """All rows left-justified at content 0, row sizes the parts of the
+    given partition (a bool or a float part is a TypeError)."""
+    parts = _check_partition(partition)
     return HorizontalStrip(tuple(Row(0, p - 1) for p in parts))
 
 

@@ -369,12 +369,6 @@ def apply_move(strip: HorizontalStrip, move: Move) -> HorizontalStrip:
     raise ValueError(f"unknown move {name!r}")
 
 
-def apply_moves(strip: HorizontalStrip, moves: list[Move]) -> HorizontalStrip:
-    for move in moves:
-        strip = apply_move(strip, move)
-    return strip
-
-
 def _state(strip: HorizontalStrip) -> State:
     """The strip's rows as one flat tuple (lo1, hi1, lo2, hi2, ...),
     translated to minimum content 0."""

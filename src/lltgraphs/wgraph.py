@@ -1,39 +1,38 @@
-"""Weighted interval graphs of horizontal strips.
+"""Weighted graphs: the one graph type of the package.
 
-The graph of a strip has one vertex per row, weighted by the row size,
-with the pairing value as edge weight (zero meaning no edge). Strips
-with isomorphic graphs are conjectured, and here empirically verified,
-to share their symmetric polynomial, so the module also provides
-isomorphism search, a canonical key, the predicted deletion-contraction
-companion graphs, and bounded realization of a graph by a strip.
+The graph of a strip (pi_graph) has one vertex per row, weighted by the
+row size, with the pairing value as edge weight (zero meaning no edge).
+Strips with isomorphic graphs are conjectured, and here empirically
+verified, to share their symmetric polynomial, so the module also
+provides isomorphism search, a canonical key, the predicted
+deletion-contraction companion graphs, and bounded realization of a
+graph by a strip. The same type indexes the chromatic side: gamma_graph
+gives the unit-weight cell graph of a unicellular strip, whose vertex
+order is the labelling that ascents are counted along, and
+extended_chromatic reads any graph's nonzero edges as plain adjacency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 
 from .errors import (
     IndexOutOfRange,
     NotRealizedWithinBound,
+    NotUnicellular,
     ParseError,
     PreconditionViolated,
 )
-from .llt import LabelledGraph, llt_poly
-from .qsymfunc import SymFunc
+from .llt import llt_poly
+from .qsymfunc import SymFunc, _check_int
 from .strips import HorizontalStrip, Row, m_pair
-
-
-def _check_int(value, what: str) -> int:
-    """value itself if it is an int but not a bool, never a truncation."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} {value!r} is not an integer")
-    return value
 
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Vertex weights plus a symmetric edge-weight matrix."""
+    """Vertex weights plus a symmetric edge-weight matrix, all ints (a
+    bool or a float is a TypeError rather than a truncation)."""
 
     weights: tuple[int, ...]
     matrix: tuple[tuple[int, ...], ...]
@@ -42,10 +41,16 @@ class WeightedGraph:
         n = len(self.weights)
         if n == 0:
             raise ValueError("graph needs at least one vertex")
-        if any(w < 1 for w in self.weights):
-            raise ValueError("vertex weights must be positive")
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError("edge matrix shape must match vertex count")
+        # one pass over the types; the named check runs only to report
+        if set(map(type, chain(self.weights, *self.matrix))) != {int}:
+            for w in self.weights:
+                _check_int(w, "vertex weight")
+            for w in chain(*self.matrix):
+                _check_int(w, "edge weight")
+        if any(w < 1 for w in self.weights):
+            raise ValueError("vertex weights must be positive")
         for i in range(n):
             if self.matrix[i][i] != 0:
                 raise ValueError("diagonal must be zero")
@@ -81,12 +86,11 @@ class WeightedGraph:
 
     @classmethod
     def from_edges(cls, weights, edges) -> "WeightedGraph":
-        weights = tuple(_check_int(w, "vertex weight") for w in weights)
+        weights = tuple(weights)
         n = len(weights)
         matrix = [[0] * n for _ in range(n)]
         for i, j, w in edges:
             i, j = _check_int(i, "edge endpoint"), _check_int(j, "edge endpoint")
-            w = _check_int(w, "edge weight")
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise ValueError(f"bad edge endpoints ({i}, {j})")
             matrix[i - 1][j - 1] = w
@@ -121,11 +125,26 @@ def pi_graph(strip: HorizontalStrip) -> WeightedGraph:
     return WeightedGraph(strip.sizes, tuple(tuple(r) for r in matrix))
 
 
-def labelled_to_weighted(graph: LabelledGraph) -> WeightedGraph:
-    """Forget labels into a unit-weight, unit-edge weighted graph."""
-    return WeightedGraph.from_edges(
-        (1,) * graph.n, [(a, b, 1) for a, b in graph.sorted_edges]
+def gamma_graph(strip: HorizontalStrip) -> WeightedGraph:
+    """Cell graph of a unicellular strip, every vertex and edge of weight
+    1: cells in decreasing content order (ties broken by higher strip row
+    first), joined wherever two cells could invert. The vertex order is
+    the labelling chrom_quasisym counts ascents along."""
+    if not strip.is_unicellular:
+        raise NotUnicellular(f"{strip.literal} has a row with more than one cell")
+    cells = sorted(
+        ((r.lo, i + 1) for i, r in enumerate(strip.rows)),
+        key=lambda cr: (-cr[0], -cr[1]),
     )
+    edges = []
+    n = len(cells)
+    for a in range(n):
+        ca, ra = cells[a]
+        for b in range(a + 1, n):
+            cb, rb = cells[b]
+            if ca == cb or ca == cb + 1 and ra < rb:
+                edges.append((a + 1, b + 1, 1))
+    return WeightedGraph.from_edges((1,) * n, edges)
 
 
 def is_isomorphic(g: WeightedGraph, h: WeightedGraph):

@@ -46,7 +46,6 @@ from lltgraphs import (
 )
 from lltgraphs.qsymfunc import BasisExpansion, partitions_of
 from lltgraphs.structure import is_minimal_ncp, local_rotate
-from lltgraphs.wgraph import labelled_to_weighted
 from lltgraphs.errors import BlockNotSeparable, HypothesisViolated, PreconditionViolated
 from lltgraphs.cli import run_verify
 
@@ -148,8 +147,8 @@ def test_criterion_04_converse_fails(criterion_log):
         problems.append("polynomials differ")
     if chrom_quasisym(gamma_graph(lam), 5) != chrom_quasisym(gamma_graph(mu), 5):
         problems.append("colouring generating functions differ")
-    form_a = canonical_form(labelled_to_weighted(gamma_graph(lam)))
-    form_b = canonical_form(labelled_to_weighted(gamma_graph(mu)))
+    form_a = canonical_form(gamma_graph(lam))
+    form_b = canonical_form(gamma_graph(mu))
     if form_a == form_b:
         problems.append("graphs are isomorphic after all")
     sweep = run_verify(5, 1, 1)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from lltgraphs import (
     QPoly,
+    WeightedGraph,
     eval_basis,
     extended_chromatic,
     gamma_graph,
@@ -19,10 +20,9 @@ from lltgraphs import (
     to_basis,
     verify_plethysm_bridge,
 )
-from lltgraphs.chromatic import VertexWeightedGraph, chrom_quasisym, from_weighted_graph
+from lltgraphs.chromatic import chrom_quasisym
 from lltgraphs.compositions import compositions_of, concat, near_concat
-from lltgraphs.errors import NotSymmetric, NotUnicellular
-from lltgraphs.llt import LabelledGraph
+from lltgraphs.errors import NotSymmetric, NotUnicellular, PreconditionViolated
 from lltgraphs.strips import HorizontalStrip, Row
 
 from oracle import brute_chrom_quasisym, brute_extended_chromatic
@@ -36,11 +36,15 @@ def _q_terms(f):
     return {exps: dict(c.pairs()) for exps, c in f.terms()}
 
 
+def _pairs(graph):
+    return [(a, b) for a, b, _ in graph.edge_list()]
+
+
 def test_path_graph_shape():
     g = path_graph((2, 1, 2, 3, 1))
     assert g.weights == (2, 1, 2, 3, 1)
-    assert g.sorted_edges() == ((1, 2), (2, 3), (3, 4), (4, 5))
-    assert path_graph((4,)).sorted_edges() == ()
+    assert g.edge_list() == [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1)]
+    assert path_graph((4,)).edge_list() == []
 
 
 def test_path_strip_realizes_path_graph():
@@ -62,7 +66,7 @@ def test_two_vertex_path_at_two_colours():
 
 
 def test_edgeless_graph_multiplies_power_sums():
-    g = VertexWeightedGraph((2, 3), frozenset())
+    g = WeightedGraph.from_edges((2, 3), [])
     assert extended_chromatic(g, 3) == eval_basis("p", (3, 2), 3)
 
 
@@ -77,7 +81,10 @@ def test_extended_chromatic_matches_brute_force(weights, edge_bits, k):
     edges = frozenset(
         e for idx, e in enumerate(possible) if edge_bits >> idx & 1
     )
-    g = VertexWeightedGraph(tuple(weights), edges)
+    # each edge at its largest allowed weight: any nonzero weight is an edge
+    g = WeightedGraph.from_edges(
+        weights, [(a, b, min(weights[a - 1], weights[b - 1])) for a, b in edges]
+    )
     f = extended_chromatic(g, k)
     want = brute_extended_chromatic(weights, sorted(edges), k)
     assert _int_terms(f) == want
@@ -168,7 +175,7 @@ def test_chrom_quasisym_matches_brute_force(sweep_uni):
     for strip in sweep_uni[:60]:
         gamma = gamma_graph(strip)
         f = chrom_quasisym(gamma, 3)
-        want = brute_chrom_quasisym(gamma.n, gamma.sorted_edges, 3)
+        want = brute_chrom_quasisym(gamma.n, _pairs(gamma), 3)
         assert _q_terms(f) == want, strip.literal
 
 
@@ -178,13 +185,15 @@ def test_chrom_quasisym_matches_brute_force(sweep_uni):
 )
 def test_chrom_quasisym_of_gamma_graph_matches_brute_force(contents, k):
     gamma = gamma_graph(HorizontalStrip(tuple(Row(c, c) for c in contents)))
-    want = brute_chrom_quasisym(gamma.n, gamma.sorted_edges, k)
+    want = brute_chrom_quasisym(gamma.n, _pairs(gamma), k)
     assert _q_terms(chrom_quasisym(gamma, k)) == want
 
 
 def test_chrom_quasisym_refuses_or_matches_brute_force_on_small_graphs():
     graphs = [
-        LabelledGraph(n, frozenset(e for i, e in enumerate(pairs) if bits >> i & 1))
+        WeightedGraph.from_edges(
+            (1,) * n, [(a, b, 1) for i, (a, b) in enumerate(pairs) if bits >> i & 1]
+        )
         for n in range(1, 5)
         for pairs in [list(combinations(range(1, n + 1), 2))]
         for bits in range(2 ** len(pairs))
@@ -198,7 +207,7 @@ def test_chrom_quasisym_refuses_or_matches_brute_force_on_small_graphs():
             except NotSymmetric:
                 refused += 1
                 continue
-            want = brute_chrom_quasisym(graph.n, graph.sorted_edges, k)
+            want = brute_chrom_quasisym(graph.n, _pairs(graph), k)
             assert _q_terms(f) == want, (graph, k)
     assert 0 < refused < 4 * len(graphs)
 
@@ -219,10 +228,26 @@ def test_bridge_requires_unicellular():
         verify_plethysm_bridge(parse_strip("2/0,1/0"))
 
 
-def test_from_weighted_graph_keeps_adjacency():
-    g = from_weighted_graph(pi_graph(parse_strip("4/0,5/4,8/5,6/1")))
+def test_extended_chromatic_reads_nonzero_edges_as_adjacency():
+    g = pi_graph(parse_strip("4/0,5/4,8/5,6/1"))
     assert g.weights == (4, 1, 3, 5)
-    assert g.sorted_edges() == ((1, 4), (2, 4), (3, 4))
+    assert _pairs(g) == [(1, 4), (2, 4), (3, 4)]
+    star = WeightedGraph.from_edges(g.weights, [(1, 4, 1), (2, 4, 1), (3, 4, 1)])
+    assert g != star
+    assert extended_chromatic(g, 4) == extended_chromatic(star, 4)
+
+
+def test_chrom_quasisym_refuses_vertex_weights_other_than_one():
+    with pytest.raises(PreconditionViolated):
+        chrom_quasisym(WeightedGraph.from_edges((1, 2), [(1, 2, 1)]), 2)
+    with pytest.raises(PreconditionViolated):
+        chrom_quasisym(path_graph((2,)), 2)
+
+
+@pytest.mark.parametrize("alpha", [(1.5, 2), (2.0, 1), (True, 1)], ids=["float", "float-integral", "bool"])
+def test_path_graph_refuses_non_int_parts(alpha):
+    with pytest.raises(TypeError):
+        path_graph(alpha)
 
 
 def test_composed_strips_share_polynomial():

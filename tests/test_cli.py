@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from lltgraphs.cli import main, partition_key, parse_partition_key, run_verify
+from lltgraphs.cli import main, partition_key, run_verify
 
 DATA = Path(__file__).parent / "data"
 
@@ -322,7 +322,9 @@ def test_version_flag(runner):
 
 def test_partition_key_round_trip():
     for parts in [(), (3,), (6, 4, 3), (1, 1, 1, 1)]:
-        assert parse_partition_key(partition_key(parts)) == parts
+        key = partition_key(parts)
+        assert key == "(" + key[1:-1] + ")"
+        assert tuple(json.loads("[" + key[1:-1] + "]")) == parts
 
 
 def test_run_verify_counts_match_cli_fixture(sweep_main):

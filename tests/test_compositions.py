@@ -10,7 +10,7 @@ from lltgraphs import (
     near_concat,
     parse_composition,
 )
-from lltgraphs.compositions import concat, near_concat_power, partition_of, reverse
+from lltgraphs.compositions import as_composition, concat, near_concat_power, partition_of, reverse
 from lltgraphs.errors import ParseError
 
 from oracle import coarsenings_rec
@@ -25,6 +25,12 @@ def test_parse_and_format_round_trip():
 def test_parse_rejects_nonpositive_and_garbage(bad):
     with pytest.raises(ParseError):
         parse_composition(bad)
+
+
+@pytest.mark.parametrize("parts", [(1.5, 2), (2.0, 1), (True, 1)], ids=["float", "float-integral", "bool"])
+def test_as_composition_refuses_non_int_parts(parts):
+    with pytest.raises(TypeError):
+        as_composition(parts)
 
 
 def test_concat_and_near_concat():

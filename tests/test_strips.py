@@ -180,6 +180,12 @@ def test_hl_strip_left_justifies():
         hl_strip((1, 2))
 
 
+@pytest.mark.parametrize("parts", [(2.5,), (2.0, 1), (True,)], ids=["float", "float-integral", "bool"])
+def test_hl_strip_refuses_non_int_parts(parts):
+    with pytest.raises(TypeError):
+        hl_strip(parts)
+
+
 def test_strip_concat_and_near_concat():
     one = parse_strip("1/0")
     assert strip_concat(one, one) == parse_strip("2/1,1/0")

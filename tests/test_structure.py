@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from lltgraphs import (
     NoncommutingPath,
     apply_move,
-    apply_moves,
     canonical_form,
     find_minimal_ncp,
     is_nesting,
@@ -312,7 +311,6 @@ def test_witness_for_running_pair_replays_exactly():
         current = apply_move(current, move)
         assert llt_poly(current, 4) == baseline, move
     assert current == mu
-    assert apply_moves(lam, moves) == mu
 
 
 def test_witness_for_translate_pair_skips_the_search(monkeypatch):

@@ -25,7 +25,7 @@ from lltgraphs.errors import (
     PreconditionViolated,
 )
 from lltgraphs.strips import HorizontalStrip, Row
-from lltgraphs.wgraph import labelled_to_weighted, llt_of_graph
+from lltgraphs.wgraph import llt_of_graph
 
 from oracle import brute_isomorphic
 
@@ -52,6 +52,17 @@ def test_graph_json_round_trip():
         "weights": [4, 1, 3, 5],
         "edges": [[1, 4, 3], [2, 4, 1], [3, 4, 2]],
     }
+
+
+@pytest.mark.parametrize(
+    "weights, matrix",
+    [((2.0, 1), ((0, 1), (1, 0))), ((True, 1), ((0, 1), (1, 0))),
+     ((2, 1), ((0, 1.0), (1.0, 0))), ((2, 1), ((0, True), (True, 0)))],
+    ids=["float-vertex", "bool-vertex", "float-edge", "bool-edge"],
+)
+def test_constructor_refuses_non_int_weights(weights, matrix):
+    with pytest.raises(TypeError):
+        WeightedGraph(weights, matrix)
 
 
 def test_frozen_graph_files_match_strips():
@@ -149,9 +160,9 @@ def test_llt_of_graph_agrees_with_direct_polynomial():
     assert llt_of_graph(pi_graph(lam)) == llt_poly(lam, 2)
 
 
-def test_labelled_to_weighted_forgets_labels():
-    gamma = gamma_graph(parse_strip("1/0,1/0"))
-    g = labelled_to_weighted(gamma)
+def test_gamma_graph_is_a_unit_weight_graph():
+    g = gamma_graph(parse_strip("1/0,1/0"))
+    assert isinstance(g, WeightedGraph)
     assert g.weights == (1, 1)
     assert g.edge_list() == [(1, 2, 1)]
 
