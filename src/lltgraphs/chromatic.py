@@ -120,11 +120,10 @@ def path_p_expansion(alpha) -> BasisExpansion:
     the signed sum over the coarsening multiset."""
     alpha = comps.as_composition(alpha)
     la = len(alpha)
-    coeffs: dict[tuple[int, ...], QPoly] = {}
-    for lam, mult in comps.coarsening_multiset(alpha).items():
-        sign = -1 if (la - len(lam)) % 2 else 1
-        prev = coeffs.get(lam, QPoly.zero())
-        coeffs[lam] = prev + QPoly.constant(sign * mult)
+    coeffs = {
+        lam: -mult if (la - len(lam)) % 2 else mult
+        for lam, mult in comps.coarsening_multiset(alpha).items()
+    }
     return BasisExpansion("p", sum(alpha), coeffs)
 
 
@@ -140,14 +139,13 @@ def path_llt_h_expansion(alpha, printed_sign: bool = False) -> BasisExpansion:
     """
     alpha = comps.as_composition(alpha)
     la = len(alpha)
-    coeffs: dict[tuple[int, ...], QPoly] = {}
     one = QPoly.one()
     q = QPoly.q_power(1)
     tail = (q - one) if printed_sign else (one - q)
-    for lam, mult in comps.coarsening_multiset(alpha).items():
-        c = QPoly.q_power(len(lam) - 1) * tail ** (la - len(lam)) * mult
-        prev = coeffs.get(lam, QPoly.zero())
-        coeffs[lam] = prev + c
+    coeffs = {
+        lam: QPoly.q_power(len(lam) - 1) * tail ** (la - len(lam)) * mult
+        for lam, mult in comps.coarsening_multiset(alpha).items()
+    }
     return BasisExpansion("h", sum(alpha), coeffs)
 
 

@@ -47,10 +47,6 @@ def format_composition(alpha: Composition) -> str:
     return ",".join(str(p) for p in alpha)
 
 
-def reverse(alpha: Composition) -> Composition:
-    return tuple(reversed(alpha))
-
-
 def concat(alpha: Composition, beta: Composition) -> Composition:
     return tuple(alpha) + tuple(beta)
 
@@ -113,15 +109,8 @@ def multiset_equal(alpha: Composition, beta: Composition) -> bool:
     return coarsening_multiset(alpha) == coarsening_multiset(beta)
 
 
-def compositions_of(n: int):
-    """Yield every composition of n, one per subset of break points."""
+def compositions_of(n: int) -> list[Composition]:
+    """Every composition of n: the coarsenings of (1, ..., 1)."""
     if n < 1:
         raise ValueError("n must be positive")
-    for mask in range(1 << (n - 1)):
-        parts = [1]
-        for i in range(n - 1):
-            if mask >> i & 1:
-                parts.append(1)
-            else:
-                parts[-1] += 1
-        yield tuple(parts)
+    return coarsenings((1,) * n)

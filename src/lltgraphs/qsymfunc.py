@@ -9,7 +9,8 @@ for each partition mu with at most k parts, and SymFunc stores only
 those; its monomials are listed only on demand. Arithmetic and basis
 changes work in the coordinates: s by the bialternant, h and e by
 Jacobi-Trudi (Macdonald, Symmetric Functions and Hall Polynomials,
-I.3), p by a triangular solve on integer merge counts (I.6).
+I.3), p by integer merge counts (I.6). Every way that needs an inverse,
+into p and back from s, h and e, is the one triangular solve _solve.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ class SymFunc:
     __repr__ = __str__
 
 
-def partitions_of(n: int, max_part=None, max_len=None) -> list:
+def partitions_of(n: int, max_len=None) -> list:
     """Partitions of n in decreasing lexicographic order, as tuples."""
     found = []
 
@@ -349,7 +350,7 @@ def partitions_of(n: int, max_part=None, max_len=None) -> list:
             fill(rest - first, first, room - 1, prefix + (first,))
 
     if n >= 0:
-        fill(n, n if max_part is None else max_part, n if max_len is None else max_len, ())
+        fill(n, n, n if max_len is None else max_len, ())
     return found
 
 
@@ -393,18 +394,6 @@ def _distinct_permutations(items: tuple[int, ...]):
 
 def _pad(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
     return lam + (0,) * (k - len(lam))
-
-
-def _takes(r: int, caps):
-    """Vectors t with 0 <= t[i] <= caps[i] and sum r."""
-    if not caps:
-        if r == 0:
-            yield ()
-        return
-    spare = sum(caps[1:])
-    for t in range(max(0, r - spare), min(r, caps[0]) + 1):
-        for rest in _takes(r - t, caps[1:]):
-            yield (t,) + rest
 
 
 def _partition(vec) -> tuple[int, ...]:
@@ -458,28 +447,40 @@ def _jacobi_trudi(schur: dict, basis: str) -> dict:
     return {lam: QPoly(p) for lam, p in pairs.items()}
 
 
-def _product_count(basis: str, parts: tuple[int, ...], room: tuple[int, ...],
-                   memo: dict) -> int:
-    """Coefficient of x^room in b_{parts[0]} b_{parts[1]} ... for b one of
-    h, e, p: the ways to give out each part over the coordinates of room,
-    any amounts for h, at most 1 per coordinate for e, one whole
-    coordinate for p. Memoised on room sorted, which the count ignores."""
+def _merge_count(parts: tuple[int, ...], room: tuple[int, ...], memo: dict) -> int:
+    """Coefficient of x^room in p_{parts[0]} p_{parts[1]} ...: the ways to
+    give each part one whole coordinate of room, so that the parts merge
+    into room. Memoised on room sorted, which the count ignores."""
     if not parts:
         return 1
     key = (parts, room)
     hit = memo.get(key)
     if hit is None:
         r = parts[0]
-        if basis == "p":
-            takes = [tuple(r * (i == j) for i in range(len(room)))
-                     for j, v in enumerate(room) if v >= r]
-        else:
-            takes = _takes(r, room if basis == "h" else [min(1, v) for v in room])
         hit = memo[key] = sum(
-            _product_count(basis, parts[1:], _partition(map(sub, room, t)), memo)
-            for t in takes
+            _merge_count(parts[1:], _partition(room[:j] + (v - r,) + room[j + 1:]), memo)
+            for j, v in enumerate(room) if v >= r
         )
     return hit
+
+
+def _solve(order, given: dict, row, diag=None) -> dict:
+    """Solve a triangular system along order: the unknown at mu is given[mu]
+    less row(mu)(nu) x_nu summed over the unknowns nu already solved, divided
+    by diag(mu), or by 1 when diag is None. row(mu)(nu) is 0 or None where
+    the system has no entry. Returns the nonzero unknowns."""
+    solved: dict[tuple[int, ...], QPoly] = {}
+    for mu in order:
+        entry = row(mu)
+        acc = dict(given[mu]._coeffs) if mu in given else {}
+        for nu, x in solved.items():
+            if n := entry(nu):
+                for e, a in x._coeffs.items():
+                    acc[e] = acc.get(e, 0) - n * a
+        if any(acc.values()):
+            d = 1 if diag is None else diag(mu)
+            solved[mu] = QPoly(acc) if d == 1 else QPoly(acc) * Fraction(1, d)
+    return solved
 
 
 def eval_basis(basis: str, lam, k: int) -> SymFunc:
@@ -543,39 +544,40 @@ class BasisExpansion:
         return hash((self.basis, self.degree, frozenset(self._coeffs.items())))
 
     def evaluate(self, k: int) -> SymFunc:
-        """Expand back into a polynomial in k variables by summing the
-        terms in m-coordinates; an s_lam with more than k rows is zero in
-        k variables.
+        """Expand back into a polynomial in k variables, in m-coordinates;
+        an s_lam with more than k rows is zero in k variables.
 
-        s inverts the bialternant read of to_basis, c_mu = sum_nu A(mu)[nu]
-        a_nu with A(mu) = _antisymmetrised(mu): each nu there dominates mu,
-        so it comes first in decreasing lexicographic order, and A(mu)[mu]
-        = 1. Solved from the top, a_mu = c_mu - sum_{nu != mu} A(mu)[nu]
-        a_nu, starting at the largest partition with a coefficient."""
-        if self.basis == "s":
-            coords: dict[tuple[int, ...], QPoly] = {}
-            top = max(self._coeffs, default=())
-            for mu in partitions_of(self.degree, max_len=k):
-                if mu > top:
-                    continue
-                solved = [(e, -n * a) for nu, n in _antisymmetrised(mu).items()
-                          if nu != mu and nu in coords
-                          for e, a in coords[nu]._coeffs.items()]
-                c = QPoly(list(self.coeff(mu)._coeffs.items()) + solved)
-                if c:
-                    coords[mu] = c
-            return SymFunc(k, self.degree, coords.items())
-        memo: dict = {}
-        coords = []
-        for mu in partitions_of(self.degree, max_len=k):
-            total = QPoly.zero()
-            for lam, c in self._coeffs.items():
-                count = (int(lam == mu) if self.basis == "m"
-                         else _product_count(self.basis, lam, mu, memo))
-                if count:
-                    total = total + c * count
-            coords.append((mu, total))
-        return SymFunc(k, self.degree, coords)
+        p sums the merge counts of to_basis. h goes to s by Jacobi-Trudi
+        solved backwards: the h-expansion of s_nu is J(nu) =
+        _antisymmetrised(nu), nonzero only on partitions that dominate nu
+        and 1 at nu, so the s-coefficients c of sum_lam b_lam h_lam solve
+        b_lam = sum_nu J(nu)[lam] c_nu in increasing lexicographic order,
+        from the smallest lam with a coefficient. e does the same, each
+        c_nu then belonging to s of the conjugate of nu. s inverts the
+        bialternant read of to_basis, c_mu = sum_nu A(mu)[nu] a_nu with
+        A(mu) = _antisymmetrised(mu): each nu there dominates mu, and the
+        entry at mu is 1, so the a come out in decreasing order, from the
+        largest partition with a coefficient."""
+        coeffs = self._coeffs
+        if self.basis == "m":
+            return SymFunc(k, self.degree,
+                           ((lam, c) for lam, c in coeffs.items() if len(lam) <= k))
+        if self.basis == "p":
+            memo: dict = {}
+            return SymFunc(k, self.degree, (
+                (mu, c * n) for mu in partitions_of(self.degree, max_len=k)
+                for lam, c in coeffs.items() if (n := _merge_count(lam, mu, memo))))
+        if self.basis != "s":
+            low = min(coeffs, default=())
+            order = [lam for lam in reversed(partitions_of(self.degree)) if lam >= low]
+            jt = {nu: _antisymmetrised(nu) for nu in order}
+            coeffs = _solve(order, coeffs, lambda lam: lambda nu: jt[nu].get(lam))
+            if self.basis == "e":
+                coeffs = {_conjugate(nu): c for nu, c in coeffs.items()}
+        top = max(coeffs, default=())
+        order = [mu for mu in partitions_of(self.degree, max_len=k) if mu <= top]
+        return SymFunc(k, self.degree, _solve(
+            order, coeffs, lambda mu: _antisymmetrised(mu).get).items())
 
     def __str__(self):
         if not self._coeffs:
@@ -628,8 +630,9 @@ def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
     in f a_delta, the bialternant sum_w sgn(w) a_{sort(lam+delta-w(delta))}
     over the permutations w of delta = (k-1, ..., 1, 0) (Macdonald I.3);
     h and e follow from s by Jacobi-Trudi. For p, a_mu = sum_lam R(lam,
-    mu) c_lam with R counting the ways the parts of lam merge into mu,
-    solved in increasing order, dividing only by R(mu, mu) (I.6).
+    mu) c_lam with R counting the ways the parts of lam merge into mu;
+    _solve takes the c in increasing order, dividing only by R(mu, mu)
+    (I.6).
 
     Raises InsufficientVariables when basis is h, e or p and k < degree
     (they need every partition of the degree), and NonIntegralCoefficient,
@@ -652,14 +655,9 @@ def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
         coeffs = {mu: coords[mu] for mu in parts if mu in coords}
     elif basis == "p":
         memo: dict = {}
-        for mu in reversed(parts):
-            solved = [(e, -a * n) for lam, d in coeffs.items()
-                      if (n := _product_count("p", lam, mu, memo))
-                      for e, a in d._coeffs.items()]
-            c = QPoly(list(coords.get(mu, QPoly.zero())._coeffs.items()) + solved)
-            if c:
-                diag = _product_count("p", mu, mu, memo)
-                coeffs[mu] = c if diag == 1 else c * Fraction(1, diag)
+        coeffs = _solve(reversed(parts), coords,
+                        lambda mu: lambda lam: _merge_count(lam, mu, memo),
+                        lambda mu: _merge_count(mu, mu, memo))
     else:
         for lam in parts:
             # plain numbers first: most of these sums cancel to zero

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     PreconditionViolated,
 )
-from .qsymfunc import _check_partition
+from .qsymfunc import _check_int, _check_partition
 
 
 @dataclass(frozen=True, order=True)
@@ -36,6 +36,8 @@ class Row:
     hi: int
 
     def __post_init__(self):
+        _check_int(self.lo, "row bound")
+        _check_int(self.hi, "row bound")
         if self.hi < self.lo:
             raise ValueError(f"empty row [{self.lo}, {self.hi}]")
 

@@ -87,23 +87,11 @@ def is_minimal_ncp(strip: HorizontalStrip, indices: tuple[int, ...]) -> bool:
     return True
 
 
-def _reduce_to_minimal(strip: HorizontalStrip, indices: tuple[int, ...]) -> tuple[int, ...]:
-    chain = list(indices)
-    changed = True
-    while changed and len(chain) > 3:
-        changed = False
-        for p in range(1, len(chain) - 1):
-            trimmed = chain[:p] + chain[p + 1 :]
-            if is_noncommuting_path(strip, tuple(trimmed)):
-                chain = trimmed
-                changed = True
-                break
-    return tuple(chain)
-
-
 def find_minimal_ncp(strip: HorizontalStrip, i: int, j: int) -> Optional[NoncommutingPath]:
     """Shortest increasing noncommuting chain of >= 3 rows from row i to row j,
-    trimmed to a minimal one; None when no such chain exists."""
+    by a breadth-first search that skips the direct step; None when no such
+    chain exists. A shortest chain is minimal: a shorter subsequence with
+    the same ends would be a shorter chain."""
     strip.row(i)
     strip.row(j)
     if i >= j:
@@ -130,7 +118,7 @@ def find_minimal_ncp(strip: HorizontalStrip, i: int, j: int) -> Optional[Noncomm
     while parent[chain[-1]] is not None:
         chain.append(parent[chain[-1]])
     chain.reverse()
-    return NoncommutingPath(_reduce_to_minimal(strip, tuple(chain)))
+    return NoncommutingPath(tuple(chain))
 
 
 def is_strict_pair(strip: HorizontalStrip, i: int, j: int) -> bool:

@@ -15,7 +15,7 @@ extended_chromatic reads any graph's nonzero edges as plain adjacency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import chain
 
 from .errors import (
     IndexOutOfRange,
@@ -327,39 +327,38 @@ def predict_dc_graphs(g: WeightedGraph, i: int, j: int, mij: int):
 
 
 def realize(g: WeightedGraph, bound: int | None = None):
-    """Search for a strip whose graph is g, rows tried in every vertex
-    order, each row's lo scanned over 0..bound then -1..-bound with the
-    first row pinned at lo = 0. Returns None when the search space is
-    exhausted; that is not a proof that no realization exists.
+    """Search for a strip whose graph is g: one depth-first search that
+    picks the next row's vertex and lo together, so row orders with a
+    common prefix share its work and an order is dropped as soon as its
+    prefix fails. Vertices are tried in increasing order, each lo over
+    0..bound then -1..-bound, with the first row pinned at lo = 0. Returns
+    None when the search space is exhausted; that is not a proof that no
+    realization exists.
     """
     if bound is None:
         bound = sum(g.weights)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     offsets = list(range(0, bound + 1)) + list(range(-1, -bound - 1, -1))
-    n = g.n
-    for perm in permutations(range(n)):
-        rows: list[Row] = [Row(0, g.weights[perm[0]] - 1)]
+    placed: list[tuple[int, Row]] = []
 
-        def backtrack(r: int) -> bool:
-            if r == n:
-                return True
-            w = g.weights[perm[r]]
-            for lo in offsets:
-                cand = Row(lo, lo + w - 1)
-                if all(
-                    m_pair(rows[s], cand) == g.matrix[perm[s]][perm[r]]
-                    for s in range(r)
-                ):
-                    rows.append(cand)
-                    if backtrack(r + 1):
+    def extend() -> bool:
+        if len(placed) == g.n:
+            return True
+        used = {u for u, _ in placed}
+        for v in range(g.n):
+            if v in used:
+                continue
+            for lo in offsets if placed else (0,):
+                cand = Row(lo, lo + g.weights[v] - 1)
+                if all(m_pair(row, cand) == g.matrix[u][v] for u, row in placed):
+                    placed.append((v, cand))
+                    if extend():
                         return True
-                    rows.pop()
-            return False
+                    placed.pop()
+        return False
 
-        if backtrack(1):
-            return HorizontalStrip(tuple(rows))
-    return None
+    return HorizontalStrip(tuple(row for _, row in placed)) if extend() else None
 
 
 def llt_of_graph(g: WeightedGraph, bound: int | None = None) -> SymFunc:

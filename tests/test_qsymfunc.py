@@ -29,7 +29,7 @@ from lltgraphs.errors import (
 )
 from lltgraphs.qsymfunc import (
     BASES,
-    _product_count,
+    _merge_count,
     divide_qpoly,
     partitions_of,
     plethystic_q_substitute,
@@ -203,13 +203,18 @@ def test_kostka_counts_match_oracle():
 
 @pytest.mark.parametrize("basis", ["h", "e", "p"])
 def test_product_counts_match_brute_force(basis):
+    # the coefficient of x^mu in b_lam, for every lam and mu of n <= 6; p's
+    # is also the merge count that to_basis solves against
     for n in range(1, 7):
         memo = {}
         for lam in partitions_of(n):
             brute = brute_basis(basis, lam, n)
+            got = eval_basis(basis, lam, n)
             for mu in partitions_of(n):
-                got = _product_count(basis, lam, mu, memo)
-                assert got == brute.get(_pad(mu, n), 0), (basis, lam, mu)
+                want = brute.get(_pad(mu, n), 0)
+                assert got.coeff(_pad(mu, n)) == want, (basis, lam, mu)
+                if basis == "p":
+                    assert _merge_count(lam, mu, memo) == want, (lam, mu)
 
 
 def _fillings(rows, k):

@@ -68,21 +68,42 @@ def _click_command(node) -> bool:
     )
 
 
+def _module_aliases(tree) -> set[str]:
+    """Names bound to package modules, as by `from . import compositions
+    as comps`."""
+    modules = {path.stem for path in SOURCES}
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+        for alias in node.names if alias.name in modules
+    }
+
+
 def _uncalled(private: bool) -> dict[str, str]:
     """Module-level functions and classes, private or public ones, that no
-    name or attribute in the library refers to outside their own
-    definition; imports and __all__ strings do not count. Click commands
-    are called by click."""
+    name in the library refers to outside their own definition; an
+    attribute counts only on a package module alias, as in comps.compose,
+    so a method of the same name is no use. Imports and __all__ strings
+    do not count. Click commands are called by click."""
     defined, used = {}, set()
     for path in SOURCES:
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = _module_aliases(tree)
+        for top in tree.body:
             own = getattr(top, "name", None)
             if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
                     and own.startswith("_") == private and not _click_command(top)):
                 defined[own] = f"{path.name}:{top.lineno}"
             for node in ast.walk(top):
-                name = getattr(node, "id", None) or getattr(node, "attr", None)
-                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in aliases):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
                     used.add(name)
     assert defined
     return {name: where for name, where in defined.items() if name not in used}

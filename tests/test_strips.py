@@ -174,6 +174,16 @@ def test_strip_of_composition():
     assert strip_of_composition((3,)) == parse_strip("3/0")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Row(0, 2.5), lambda: Row(True, 2), lambda: strip_of_composition((1.5, 2))],
+    ids=["float-bound", "bool-bound", "float-part"],
+)
+def test_rows_refuse_non_int_bounds(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_hl_strip_left_justifies():
     assert hl_strip((3, 2, 2)) == parse_strip("3/0,2/0,2/0")
     with pytest.raises(ValueError):

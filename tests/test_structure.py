@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from itertools import combinations
 from functools import lru_cache
 
 import pytest
@@ -43,7 +44,7 @@ from lltgraphs.strips import (
 from lltgraphs import structure
 from lltgraphs.structure import is_minimal_ncp, is_noncommuting_path
 
-from oracle import raw_strict_sequences
+from oracle import commutes as brute_commutes, raw_strict_sequences
 
 
 def strip_of(pairs):
@@ -481,6 +482,33 @@ def small_strips(draw):
         size = draw(st.integers(1, min(4, 9 - lo)))
         rows.append(Row(lo, lo + size - 1))
     return HorizontalStrip(tuple(rows))
+
+
+def brute_shortest_chain(strip, i, j):
+    """Row count of a shortest increasing chain i < ... < j of >= 3 rows,
+    consecutive rows noncommuting by the oracle; None when there is none."""
+    rows = [(r.lo, r.hi) for r in strip.rows]
+    for size in range(1, j - i):
+        for picked in combinations(range(i + 1, j), size):
+            chain = (i, *picked, j)
+            if not any(brute_commutes(rows[a - 1], rows[b - 1])
+                       for a, b in zip(chain, chain[1:])):
+                return size + 2
+    return None
+
+
+@settings(max_examples=300)
+@given(strip=small_strips())
+@example(strip=parse_strip("6/3,9/8,8/6,4/2,7/3,9/7"))  # 1, 4, 5, 6 is not shortest
+def test_find_minimal_ncp_is_a_shortest_chain(strip):
+    for i, j in combinations(range(1, strip.n + 1), 2):
+        p = find_minimal_ncp(strip, i, j)
+        want = brute_shortest_chain(strip, i, j)
+        if want is None:
+            assert p is None, (strip.literal, i, j)
+            continue
+        assert p.endpoints == (i, j) and len(p.indices) == want, (strip.literal, i, j)
+        assert is_minimal_ncp(strip, p.indices)
 
 
 @settings(max_examples=400)

@@ -155,6 +155,12 @@ def test_claw_is_not_realized():
         llt_of_graph(claw, bound=4)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_unit_cycle_is_not_realized(n):
+    cycle = WeightedGraph.from_edges((1,) * n, [(i, i % n + 1, 1) for i in range(1, n + 1)])
+    assert realize(cycle) is None
+
+
 def test_llt_of_graph_agrees_with_direct_polynomial():
     lam = parse_strip("3/0,5/2")
     assert llt_of_graph(pi_graph(lam)) == llt_poly(lam, 2)
@@ -189,6 +195,26 @@ def relabel(g, perm):
         weights[perm[v]] = w
     edges = [(perm[i - 1] + 1, perm[j - 1] + 1, w) for i, j, w in g.edge_list()]
     return WeightedGraph.from_edges(weights, edges)
+
+
+@st.composite
+def small_strips(draw):
+    """1-4 rows of 1-3 cells, every content in 0..6."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.integers(0, 6))
+        size = draw(st.integers(1, min(3, 7 - lo)))
+        rows.append(Row(lo, lo + size - 1))
+    return HorizontalStrip(tuple(rows))
+
+
+@settings(max_examples=100)
+@given(strip=small_strips(), data=st.data())
+def test_realize_finds_a_strip_for_a_relabelled_strip_graph(strip, data):
+    g = pi_graph(strip)
+    found = realize(relabel(g, data.draw(st.permutations(range(g.n)))))
+    assert found is not None
+    assert canonical_form(pi_graph(found)) == canonical_form(g)
 
 
 @st.composite
