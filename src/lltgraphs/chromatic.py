@@ -64,21 +64,11 @@ def _colouring_sum(weights, edges, ascents, k: int) -> SymFunc:
         by_weight.setdefault(t, []).append(s)
     ascents = [(1 << (a - 1), 1 << (b - 1)) for a, b in ascents]
 
-    def step(layer: dict, m: int) -> dict:
-        out: dict[int, dict[int, int]] = {}
-        sets = by_weight.get(m, ())
-        for done, poly in layer.items():
-            for s in sets:
-                if s & done:
-                    continue
-                after = done | s
-                asc = sum(1 for a, b in ascents if a & s and not b & after)
-                acc = out.setdefault(after, {})
-                for e, c in poly.items():
-                    acc[e + asc] = acc.get(e + asc, 0) + c
-        return out
+    def moves(done: int, m: int) -> list:
+        return [(done | s, sum(1 for a, b in ascents if a & s and not b & (done | s)))
+                for s in by_weight.get(m, ()) if not s & done]
 
-    return partition_dp(k, sum(weights), 0, (1 << len(weights)) - 1, step)
+    return partition_dp(k, sum(weights), 0, (1 << len(weights)) - 1, moves)
 
 
 def extended_chromatic(graph: WeightedGraph, k: int) -> SymFunc:

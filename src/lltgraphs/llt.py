@@ -6,82 +6,67 @@ at most k. Two cells u (row i) and v (row j), i < j, invert when they
 share a content and the earlier row's entry is larger, or the earlier
 cell's content is one higher and its entry is smaller. Summing
 q^(inversions) x^(content multiset) over all fillings gives the strip's
-polynomial; for unicellular strips the same sum can be read off the
-cell graph of wgraph.gamma_graph by counting ascents of vertex
-colourings.
+polynomial.
 
-The statistic is local in content, as in Haglund-Haiman-Loehr (JAMS
-2005), so llt_poly never lists tableaux. It places the letters 1, 2, ...
-in turn, remembers only how many cells of each row are filled, and
-counts each letter's inversions as overlaps between the content
-intervals it fills and those still empty. partition_dp drives such a
-letter-by-letter count once per partition of the total and reads the
-other monomials off by symmetry; the colouring sums of chromatic.py run
-on the same driver, one colour class per letter. No tableau is ever
-built: the independent cell-pair count lives in the test oracle.
+The statistic is local in the cells, as in Haglund-Haiman-Loehr (JAMS
+2005), so llt_poly never lists tableaux. partition_dp places the letters
+1, 2, ... in turn, once per partition of the total, and reads the other
+monomials off by symmetry. Its callers only list the moves of one letter
+from a bitmask state: for strips the state holds the filled cells, and
+each cell's inversions with cells still empty are a popcount of its
+mask; the colouring sums of chromatic.py colour one independent set per
+letter, counting ascents into vertices still uncoloured. The independent
+cell-pair count lives in the test oracle.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import PreconditionViolated
-from .qsymfunc import BasisExpansion, QPoly, SymFunc
-from .strips import HorizontalStrip, Row
+from .qsymfunc import BasisExpansion, QPoly, SymFunc, partitions_of
+from .strips import HorizontalStrip
 
 
-def _rows_interact(r: Row, s: Row) -> bool:
-    return not (r.hi < s.lo - 1 or s.hi < r.lo - 1)
-
-
-def _step_tables(ra: Row, rb: Row):
-    """Tables for the letter DP, ra the earlier row: same[x][y] counts cells
-    of rb with index < x facing cells of ra with index >= y at equal content;
-    below[x][y], cells of ra with index < x facing cells of rb with index
-    >= y one content lower."""
-    def overlap(lo1, hi1, lo2, hi2):
-        return max(0, min(hi1, hi2) - max(lo1, lo2) + 1)
-
-    same = [[overlap(rb.lo, rb.lo + x - 1, ra.lo + y, ra.hi) for y in range(ra.size + 1)]
-            for x in range(rb.size + 1)]
-    below = [[overlap(ra.lo, ra.lo + x - 1, rb.lo + y + 1, rb.hi + 1) for y in range(rb.size + 1)]
-             for x in range(ra.size + 1)]
-    return same, below
-
-
-def _advances(f: tuple[int, ...], sizes: tuple[int, ...], m: int) -> list:
-    """Every g with f <= g <= sizes rowwise and m more cells than f."""
-    total = sum(f) + m
-    if total == sum(sizes):
-        return [sizes]
-    heads = product(*(range(x, min(s, x + m) + 1) for x, s in zip(f[:-1], sizes[:-1])))
-    return [head + (total - sum(head),) for head in heads
-            if f[-1] <= total - sum(head) <= sizes[-1]]
-
-
-def partition_dp(k: int, total: int, start, end, step) -> SymFunc:
+def partition_dp(k: int, total: int, start, end, moves) -> SymFunc:
     """The symmetric polynomial in k variables of degree total whose
     coefficient on x^lam is the count a letter DP reaches at state end.
 
-    From the layer {start: {0: 1}}, mapping each state to its count by
-    power of q, step(layer, m) places the next letter m times and returns
-    the next layer. The DP runs once per partition lam of total with at
-    most k parts, letter i placed lam_i times, and partitions with a
-    common prefix share their layers. The caller must count a symmetric
-    sum, since only these m-coordinates are computed.
+    moves(state, m) lists the pairs (next_state, q_shift) that place the
+    next letter m times. From the layer {start: {0: 1}}, mapping each
+    state to its count by power of q, each letter moves every state of
+    the layer and adds its counts, shifted by q_shift, at next_state. The
+    DP runs once per partition lam of total with at most k parts, letter
+    i placed lam_i times; partitions with a common prefix share their
+    layers, and each (state, m) is listed once per call. The caller must
+    count a symmetric sum, since only these m-coordinates are computed.
     """
     coeffs: dict[tuple[int, ...], dict[int, int]] = {}
+    listed: dict[tuple, list] = {}
 
-    def descend(layer: dict, lam: tuple[int, ...], left: int):
-        if not left:
-            coeffs[lam] = layer.get(end, {})
-            return
-        for m in range(min(left, lam[-1] if lam else left), 0, -1):
-            if left - m > m * (k - len(lam) - 1):  # the rest no longer fits
-                break
-            descend(step(layer, m), lam + (m,), left - m)
+    def step(layer: dict, m: int) -> dict:
+        out: dict = {}
+        for state, poly in layer.items():
+            nexts = listed.get((state, m))
+            if nexts is None:
+                nexts = listed[state, m] = moves(state, m)
+            for after, shift in nexts:
+                acc = out.get(after)
+                if acc is None:
+                    acc = out[after] = {}
+                for e, c in poly.items():
+                    acc[e + shift] = acc.get(e + shift, 0) + c
+        return out
 
-    descend({start: {0: 1}}, (), total)
+    # layers[i] follows i letters of before; partitions_of keeps prefixes together
+    before, layers = (), [{start: {0: 1}}]
+    for lam in partitions_of(total, max_len=k):
+        shared = 0
+        while shared < min(len(lam), len(before)) and lam[shared] == before[shared]:
+            shared += 1
+        del layers[shared + 1:]
+        for m in lam[shared:]:
+            layers.append(step(layers[-1], m))
+        coeffs[lam] = layers[-1].get(end, {})
+        before = lam
     return SymFunc(k, total, ((lam, QPoly(poly)) for lam, poly in coeffs.items()))
 
 
@@ -91,37 +76,55 @@ def llt_poly(strip: HorizontalStrip, k: int | None = None) -> SymFunc:
     variables to pin down the strip's symmetric function.
 
     A dynamic programme on partition_dp places the letters 1, 2, ... in
-    turn. Its state f counts the filled cells of each row. Placing a
-    letter in cells [f_i, g_i) of each row i adds, for each interacting
-    row pair a < b, the new cells of b facing still-empty cells of a at
-    equal content and the new cells of a facing still-empty cells of b
-    one content lower. The result is symmetric and stores just its
+    turn. Its state is the bitmask of filled cells, a prefix of each row.
+    Each cell c has one inversion mask out[c]: a later-row cell points to
+    the earlier-row cells at its content, an earlier-row cell to the
+    later-row cells one content lower. A letter fills, in each row, a run
+    of cells from the row's first empty one; filling the set S adds
+    popcount(out[c] & ~after) for each c in S, after being the filled
+    cells once S is. The result is symmetric and stores just its
     m-coordinates; SymFunc.terms() spreads them over the monomials.
     """
     if k is None:
         k = strip.n
     if k < 1:
         raise ValueError("need at least one variable")
-    rows, sizes = strip.rows, strip.sizes
-    pairs = [(a, b, *_step_tables(rows[a], rows[b]))
-             for a in range(len(rows)) for b in range(a + 1, len(rows))
-             if _rows_interact(rows[a], rows[b])]
+    rows, n = strip.rows, strip.cell_count
+    cells = [(i, x) for i, row in enumerate(rows) for x in range(row.lo, row.hi + 1)]
+    out = [sum(1 << d for d, (j, y) in enumerate(cells) if j < i and y == x or j > i and y == x - 1)
+           for i, x in cells]
+    # Cells of one row point at distinct cells, so a run's masks merge; row
+    # i's sit at bit i * n of one wide int, so a move's inversions are one
+    # popcount. runs[i]: row i's first bit, its cell mask, and per start f
+    # the (length, cells, wide mask) of each run from the row's cell f.
+    runs, first = [], 0
+    for i, row in enumerate(rows):
+        per_start = []
+        for f in range(first, first + row.size + 1):
+            opts = [(0, 0, 0)]
+            for c in range(f, first + row.size):
+                size, got, wide = opts[-1]
+                opts.append((size + 1, got | 1 << c, wide | out[c] << i * n))
+            per_start.append(opts)
+        runs.append((first, (1 << row.size) - 1, per_start))
+        first += row.size
+    repeat = sum(1 << i * n for i in range(len(rows)))
+    full = (1 << n) - 1
 
-    def step(layer: dict, m: int) -> dict:
-        out: dict[tuple[int, ...], dict[int, int]] = {}
-        for f, poly in layer.items():
-            for g in _advances(f, sizes, m):
-                inv = sum(same[g[b]][g[a]] - same[f[b]][g[a]]
-                          + below[g[a]][g[b]] - below[f[a]][g[b]]
-                          for a, b, same, below in pairs)
-                acc = out.get(g)
-                if acc is None:
-                    acc = out[g] = {}
-                for e, c in poly.items():
-                    acc[e + inv] = acc.get(e + inv, 0) + c
-        return out
+    def moves(done: int, m: int) -> list:
+        room = (full ^ done).bit_count()
+        if m == room:  # the last letter fills every empty cell and inverts none
+            return [(full, 0)]
+        combos = [(m, done, 0)]
+        for lo, mask, per_start in runs:
+            opts = per_start[(done >> lo & mask).bit_length()]
+            room -= len(opts) - 1
+            combos = [(left - size, after | got, wide | o)
+                      for left, after, wide in combos
+                      for size, got, o in opts[:left + 1] if left - size <= room]
+        return [(after, (wide & ~(after * repeat)).bit_count()) for _, after, wide in combos]
 
-    return partition_dp(k, strip.cell_count, (0,) * len(rows), sizes, step)
+    return partition_dp(k, n, 0, full, moves)
 
 
 def two_row_schur(a: int, b: int, m: int) -> BasisExpansion:

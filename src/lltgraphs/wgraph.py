@@ -331,7 +331,9 @@ def realize(g: WeightedGraph, bound: int | None = None):
     picks the next row's vertex and lo together, so row orders with a
     common prefix share its work and an order is dropped as soon as its
     prefix fails. Vertices are tried in increasing order, each lo over
-    0..bound then -1..-bound, with the first row pinned at lo = 0. Returns
+    0..bound then -1..-bound, with the first row pinned at lo = 0; a vertex
+    with a nonzero edge to a placed row skips every lo that leaves the two
+    rows apart, where the pairing could only be 0. Returns
     None when the search space is exhausted; that is not a proof that no
     realization exists.
     """
@@ -349,8 +351,13 @@ def realize(g: WeightedGraph, bound: int | None = None):
         for v in range(g.n):
             if v in used:
                 continue
-            for lo in offsets if placed else (0,):
-                cand = Row(lo, lo + g.weights[v] - 1)
+            w = g.weights[v]
+            # a nonzero edge to a placed row needs lo in [row.lo - w, row.hi]
+            near = [row for u, row in placed if g.matrix[u][v]]
+            lows = [lo for lo in offsets
+                    if all(row.lo - w <= lo <= row.hi for row in near)] if placed else [0]
+            for lo in lows:
+                cand = Row(lo, lo + w - 1)
                 if all(m_pair(row, cand) == g.matrix[u][v] for u, row in placed):
                     placed.append((v, cand))
                     if extend():

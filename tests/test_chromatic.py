@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lltgraphs import (
     QPoly,
@@ -25,7 +25,7 @@ from lltgraphs.compositions import compositions_of, concat, near_concat
 from lltgraphs.errors import NotSymmetric, NotUnicellular, PreconditionViolated
 from lltgraphs.strips import HorizontalStrip, Row
 
-from oracle import brute_chrom_quasisym, brute_extended_chromatic
+from oracle import brute_chrom_quasisym, brute_extended_chromatic, llt_via_colourings
 
 
 def _int_terms(f):
@@ -187,6 +187,27 @@ def test_chrom_quasisym_of_gamma_graph_matches_brute_force(contents, k):
     gamma = gamma_graph(HorizontalStrip(tuple(Row(c, c) for c in contents)))
     want = brute_chrom_quasisym(gamma.n, _pairs(gamma), k)
     assert _q_terms(chrom_quasisym(gamma, k)) == want
+
+
+@settings(max_examples=60)
+@given(
+    contents=st.lists(st.tuples(st.integers(-2, 3), st.integers(-2, 3)), min_size=1, max_size=6),
+    k=st.integers(1, 7),
+)
+def test_colouring_sums_match_brute_force_between_other_dp_runs(contents, k):
+    """Both colouring sums run on partition_dp, as llt_poly does. Called in
+    turn on two gamma graphs with as many vertices, with a strip
+    polynomial between them, each still matches brute force."""
+    left, right = (HorizontalStrip(tuple(Row(c, c) for c in side)) for side in zip(*contents))
+    g, h = gamma_graph(left), gamma_graph(right)
+    n = len(contents)
+    while k ** n > 5000:
+        k -= 1
+    for first, second in ((g, h), (h, g)):
+        assert _int_terms(extended_chromatic(first, k)) == brute_extended_chromatic(
+            first.weights, _pairs(first), k)
+        assert _q_terms(chrom_quasisym(second, k)) == brute_chrom_quasisym(n, _pairs(second), k)
+        assert _q_terms(llt_poly(left, k)) == llt_via_colourings(n, _pairs(g), k)
 
 
 def test_chrom_quasisym_refuses_or_matches_brute_force_on_small_graphs():

@@ -18,7 +18,7 @@ from lltgraphs.strips import HorizontalStrip, Row
 from oracle import brute_inversions, brute_llt, llt_via_colourings
 
 RUNNING = "4/0,5/4,8/5,6/1"
-MAX_FILLINGS = 2000
+MAX_FILLINGS = 8000
 
 
 def _poly_as_nested_dict(f):
@@ -72,19 +72,48 @@ def test_llt_poly_matches_brute_enumeration(literal, k):
     assert _poly_as_nested_dict(llt_poly(strip, k)) == brute_llt(rows, k)
 
 
-@settings(max_examples=100)
-@given(
-    rows=st.lists(
-        st.tuples(st.integers(-2, 4), st.integers(1, 3)), min_size=1, max_size=4
-    ),
-    k=st.integers(1, 4),
-)
-def test_llt_poly_matches_brute_enumeration_on_random_strips(rows, k):
-    rows = [(lo, lo + size - 1) for lo, size in rows]
+@st.composite
+def brute_strips(draw, max_rows=5):
+    """Rows (lo, hi) with contents from -3 on; half the strips are
+    unicellular, the rest have rows of 1-3 cells."""
+    unicellular = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        lo = draw(st.integers(-3, 4))
+        rows.append((lo, lo + (0 if unicellular else draw(st.integers(0, 2)))))
+    return rows
+
+
+def _strip(rows):
+    return HorizontalStrip(tuple(Row(lo, hi) for lo, hi in rows))
+
+
+def _variables(rows, k):
+    """k, lowered until brute enumeration stays small."""
     while _fillings(rows, k) > MAX_FILLINGS:
         k -= 1
-    strip = HorizontalStrip(tuple(Row(lo, hi) for lo, hi in rows))
-    assert _poly_as_nested_dict(llt_poly(strip, k)) == brute_llt(rows, k)
+    return k
+
+
+@settings(max_examples=150)
+@given(rows=brute_strips(), data=st.data())
+def test_llt_poly_matches_brute_enumeration_on_random_strips(rows, data):
+    k = _variables(rows, data.draw(st.integers(1, len(rows) + 2)))
+    assert _poly_as_nested_dict(llt_poly(_strip(rows), k)) == brute_llt(rows, k)
+
+
+@settings(max_examples=40)
+@given(first=brute_strips(max_rows=4), data=st.data())
+def test_back_to_back_strips_match_fresh_runs(first, data):
+    """A strip with the same row sizes has the same cell-bitmask states,
+    so anything one call left behind would show in the next."""
+    los = data.draw(st.lists(st.integers(-3, 4), min_size=len(first), max_size=len(first)))
+    second = [(lo, lo + hi - was) for (was, hi), lo in zip(first, los)]
+    k = _variables(first, len(first))
+    runs = [llt_poly(_strip(rows), k) for rows in (first, second, first, second)]
+    assert runs[0] == runs[2] and runs[1] == runs[3]
+    assert _poly_as_nested_dict(runs[0]) == brute_llt(first, k)
+    assert _poly_as_nested_dict(runs[1]) == brute_llt(second, k)
 
 
 def test_llt_poly_defaults_to_row_count():

@@ -199,9 +199,9 @@ def relabel(g, perm):
 
 @st.composite
 def small_strips(draw):
-    """1-4 rows of 1-3 cells, every content in 0..6."""
+    """1-6 rows of 1-3 cells, every content in 0..6."""
     rows = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 6))):
         lo = draw(st.integers(0, 6))
         size = draw(st.integers(1, min(3, 7 - lo)))
         rows.append(Row(lo, lo + size - 1))
