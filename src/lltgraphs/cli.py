@@ -7,7 +7,6 @@ key/value lines and adds a trailing elapsed_ms line.  Exit codes:
 violation.
 """
 
-import itertools
 import json
 import sys
 import time
@@ -20,7 +19,7 @@ from . import __version__
 from . import compositions as comps
 from .chromatic import chrom_quasisym, extended_chromatic, path_llt_h_expansion
 from .errors import ParseError, PreconditionError
-from .llt import llt_poly
+from .llt import llt_input, llt_of_input, llt_poly
 from .qsymfunc import BasisExpansion, SymFunc, to_basis
 from .strips import HorizontalStrip, Row, format_strip, parse_strip, strip_of_composition
 from .structure import (
@@ -51,21 +50,51 @@ def symfunc_payload(f: SymFunc) -> dict:
     }
 
 
-def sweep_family(max_rows: int, max_len: int, max_offset: int) -> list[HorizontalStrip]:
+def sweep_family(
+    max_rows: int, max_len: int, max_offset: int, sample=None, seed: int = 0
+) -> list[HorizontalStrip]:
     """Translation-normalized strips with at most max_rows rows, row lengths
-    1..max_len, and row starts 0..max_offset, in a fixed deterministic order."""
+    1..max_len, and row starts 0..max_offset, in a fixed deterministic order:
+    by row count, then the rows' (start, length) in itertools.product order.
+
+    A sample smaller than the family keeps only the strips at the indices
+    sorted(Random(seed).sample(range(size), sample)), each decoded from its
+    index without listing the others; any larger sample takes the whole
+    family."""
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
     choices = [
         Row(lo, lo + length - 1)
         for lo in range(max_offset + 1)
         for length in range(1, max_len + 1)
     ]
-    out = []
-    for n in range(1, max_rows + 1):
-        for combo in itertools.product(choices, repeat=n):
-            strip = HorizontalStrip(combo)
-            if strip.min_content == 0:
-                out.append(strip)
-    return out
+    # the first max_len choices start at 0; a strip needs one of them
+    width, free = len(choices), len(choices) - max_len
+    counts = [width**n - free**n for n in range(1, max_rows + 1)]
+    size = sum(counts)
+    if sample is None or sample >= size:
+        picked = range(size)
+    else:
+        picked = sorted(Random(seed).sample(range(size), sample))
+
+    def strip_at(t: int) -> HorizontalStrip:
+        for n, count in enumerate(counts, 1):
+            if t < count:
+                break
+            t -= count
+        combo, anchored = [], False
+        for rest in range(n - 1, -1, -1):
+            block = width**rest  # completions once a row starts at 0
+            if anchored or t < max_len * block:
+                c, t = divmod(t, block)
+                anchored = anchored or c < max_len
+            else:
+                c, t = divmod(t - max_len * block, block - free**rest)
+                c += max_len
+            combo.append(choices[c])
+        return HorizontalStrip(tuple(combo))
+
+    return [strip_at(t) for t in picked]
 
 
 def run_verify(
@@ -79,26 +108,37 @@ def run_verify(
     """Bucket a strip family by graph isomorphism and compare polynomials
     inside each bucket; also count bucket pairs with equal polynomial but
     non-isomorphic graphs (failures of the converse direction). A sample
-    of at least the family size takes the whole family."""
-    if sample is not None and sample < 1:
-        raise ValueError(f"sample must be at least 1, got {sample}")
-    strips = sweep_family(max_rows, max_len, max_offset)
-    if sample is not None and sample < len(strips):
-        picked = sorted(Random(seed).sample(range(len(strips)), sample))
-        strips = [strips[t] for t in picked]
+    of at least the family size takes the whole family.
+
+    Strips with one labelled graph share one canonical form. The engine
+    llt_of_input is a pure function of llt_input's pair, so strips of a
+    bucket with equal pairs share one run; that memo keeps only whether
+    the run agreed with the bucket, and only while the bucket is checked."""
+    strips = sweep_family(max_rows, max_len, max_offset, sample, seed)
     nvars = k if k is not None else max_rows
+    forms: dict[WeightedGraph, tuple] = {}  # freed once the strips are bucketed
     buckets: dict[tuple, list[HorizontalStrip]] = {}
     for strip in strips:
-        buckets.setdefault(canonical_form(pi_graph(strip)), []).append(strip)
+        graph = pi_graph(strip)
+        form = forms.get(graph)
+        if form is None:
+            form = forms[graph] = canonical_form(graph)
+        buckets.setdefault(form, []).append(strip)
+    del forms
     mismatches = []
     bucket_poly = {}
     bucket_rep = {}
     for key, members in buckets.items():
-        base = llt_poly(members[0], nvars)
-        bucket_poly[key] = base
+        first = llt_input(members[0])
+        base = bucket_poly[key] = llt_of_input(*first, nvars)
         bucket_rep[key] = members[0]
+        agrees = {first: True}  # engine input -> its polynomial equals base
         for other in members[1:]:
-            if llt_poly(other, nvars) != base:
+            engine_input = llt_input(other)
+            same = agrees.get(engine_input)
+            if same is None:
+                same = agrees[engine_input] = llt_of_input(*engine_input, nvars) == base
+            if not same:
                 mismatches.append([format_strip(members[0]), format_strip(other)])
     by_poly: dict[SymFunc, list[tuple]] = {}
     for key, poly in bucket_poly.items():

@@ -22,7 +22,7 @@ cell-pair count lives in the test oracle.
 from __future__ import annotations
 
 from .errors import PreconditionViolated
-from .qsymfunc import BasisExpansion, QPoly, SymFunc, partitions_of
+from .qsymfunc import BasisExpansion, QPoly, SymFunc, _check_int, partitions_of
 from .strips import HorizontalStrip
 
 
@@ -39,6 +39,9 @@ def partition_dp(k: int, total: int, start, end, moves) -> SymFunc:
     layers, and each (state, m) is listed once per call. The caller must
     count a symmetric sum, since only these m-coordinates are computed.
     """
+    _check_int(k, "variable count")
+    if k < 1:
+        raise ValueError("need at least one variable")
     coeffs: dict[tuple[int, ...], dict[int, int]] = {}
     listed: dict[tuple, list] = {}
 
@@ -67,7 +70,7 @@ def partition_dp(k: int, total: int, start, end, moves) -> SymFunc:
             layers.append(step(layers[-1], m))
         coeffs[lam] = layers[-1].get(end, {})
         before = lam
-    return SymFunc(k, total, ((lam, QPoly(poly)) for lam, poly in coeffs.items()))
+    return SymFunc._of_counts(k, total, coeffs)
 
 
 def llt_poly(strip: HorizontalStrip, k: int | None = None) -> SymFunc:
@@ -75,40 +78,53 @@ def llt_poly(strip: HorizontalStrip, k: int | None = None) -> SymFunc:
     entries at most k. Defaults to k = row count, which is enough
     variables to pin down the strip's symmetric function.
 
+    The engine reads the strip only through llt_input, its row sizes and
+    the inversion mask of each cell; llt_of_input runs the DP on that
+    pair alone, so strips with equal input have equal polynomials.
+    """
+    return llt_of_input(*llt_input(strip), strip.n if k is None else k)
+
+
+def llt_input(strip: HorizontalStrip) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The row sizes and, for each cell in row order, its inversion mask:
+    a later-row cell points to the earlier-row cells at its content, an
+    earlier-row cell to the later-row cells one content lower."""
+    rows = strip.rows
+    cells = [(i, x) for i, row in enumerate(rows) for x in range(row.lo, row.hi + 1)]
+    return strip.sizes, tuple(
+        sum(1 << d for d, (j, y) in enumerate(cells) if j < i and y == x or j > i and y == x - 1)
+        for i, x in cells)
+
+
+def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int) -> SymFunc:
+    """The polynomial in k variables of a strip with row sizes sizes and
+    cell inversion masks out, as llt_input gives them.
+
     A dynamic programme on partition_dp places the letters 1, 2, ... in
     turn. Its state is the bitmask of filled cells, a prefix of each row.
-    Each cell c has one inversion mask out[c]: a later-row cell points to
-    the earlier-row cells at its content, an earlier-row cell to the
-    later-row cells one content lower. A letter fills, in each row, a run
-    of cells from the row's first empty one; filling the set S adds
-    popcount(out[c] & ~after) for each c in S, after being the filled
-    cells once S is. The result is symmetric and stores just its
-    m-coordinates; SymFunc.terms() spreads them over the monomials.
+    A letter fills, in each row, a run of cells from the row's first
+    empty one; filling the set S adds popcount(out[c] & ~after) for each
+    c in S, after being the filled cells once S is. The result is
+    symmetric and stores just its m-coordinates; SymFunc.terms() spreads
+    them over the monomials.
     """
-    if k is None:
-        k = strip.n
-    if k < 1:
-        raise ValueError("need at least one variable")
-    rows, n = strip.rows, strip.cell_count
-    cells = [(i, x) for i, row in enumerate(rows) for x in range(row.lo, row.hi + 1)]
-    out = [sum(1 << d for d, (j, y) in enumerate(cells) if j < i and y == x or j > i and y == x - 1)
-           for i, x in cells]
+    n = len(out)
     # Cells of one row point at distinct cells, so a run's masks merge; row
     # i's sit at bit i * n of one wide int, so a move's inversions are one
     # popcount. runs[i]: row i's first bit, its cell mask, and per start f
     # the (length, cells, wide mask) of each run from the row's cell f.
     runs, first = [], 0
-    for i, row in enumerate(rows):
+    for i, size in enumerate(sizes):
         per_start = []
-        for f in range(first, first + row.size + 1):
+        for f in range(first, first + size + 1):
             opts = [(0, 0, 0)]
-            for c in range(f, first + row.size):
-                size, got, wide = opts[-1]
-                opts.append((size + 1, got | 1 << c, wide | out[c] << i * n))
+            for c in range(f, first + size):
+                length, got, wide = opts[-1]
+                opts.append((length + 1, got | 1 << c, wide | out[c] << i * n))
             per_start.append(opts)
-        runs.append((first, (1 << row.size) - 1, per_start))
-        first += row.size
-    repeat = sum(1 << i * n for i in range(len(rows)))
+        runs.append((first, (1 << size) - 1, per_start))
+        first += size
+    repeat = sum(1 << i * n for i in range(len(sizes)))
     full = (1 << n) - 1
 
     def moves(done: int, m: int) -> list:

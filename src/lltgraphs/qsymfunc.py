@@ -63,6 +63,13 @@ class QPoly:
         self._coeffs = {e: _norm_coeff(c) for e, c in data.items() if c != 0}
 
     @classmethod
+    def _of_counts(cls, counts: dict[int, int]) -> "QPoly":
+        """The map exponent -> positive int count, unchecked and not copied."""
+        poly = object.__new__(cls)
+        poly._coeffs = counts
+        return poly
+
+    @classmethod
     def zero(cls) -> "QPoly":
         return cls()
 
@@ -238,6 +245,16 @@ class SymFunc:
             prev = data.get(lam)
             data[lam] = c if prev is None else prev + c
         self._coords = {lam: c for lam, c in data.items() if c}
+
+    @classmethod
+    def _of_counts(cls, k: int, degree: int, counts: dict) -> "SymFunc":
+        """The m-coordinates lam -> QPoly._of_counts map, for partitions lam
+        of degree with at most k parts, unchecked; an empty map is dropped."""
+        f = object.__new__(cls)
+        f.k = k
+        f.degree = degree
+        f._coords = {lam: QPoly._of_counts(c) for lam, c in counts.items() if c}
+        return f
 
     @classmethod
     def zero(cls, k: int, degree: int) -> "SymFunc":

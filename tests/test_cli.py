@@ -1,13 +1,20 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
+from unittest.mock import patch
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
-from lltgraphs.cli import main, partition_key, run_verify
+from lltgraphs import QPoly, canonical_form, llt_poly, pi_graph
+from lltgraphs import cli, llt
+from lltgraphs.cli import main, partition_key, run_verify, sweep_family
+from lltgraphs.strips import HorizontalStrip, Row, format_strip
 
 DATA = Path(__file__).parent / "data"
 
@@ -344,3 +351,107 @@ def test_package_runs_as_a_module():
     )
     assert result.returncode == 0, result.stderr
     assert "verify" in result.stdout
+
+
+# verify outputs recorded before the sweep shared any work between strips
+GOLDEN_VERIFY = {
+    "verify_4_1_4.json": ["--max-rows", "4", "--max-len", "1", "--max-offset", "4"],
+    "verify_4_2_3_sample100_seed1675479830.json": [
+        "--max-rows", "4", "--max-len", "2", "--max-offset", "3",
+        "--sample", "100", "--seed", "1675479830",
+    ],
+    "verify_5_1_4_sample80_seed1945980801.json": [
+        "--max-rows", "5", "--max-len", "1", "--max-offset", "4",
+        "--sample", "80", "--seed", "1945980801",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_verify_golden_bytes(runner, name):
+    result = invoke(runner, "verify", *GOLDEN_VERIFY[name])
+    assert result.exit_code == 0
+    assert result.output == (DATA / name).read_text()
+
+
+def _product_family(max_rows, max_len, max_offset):
+    """The family as itertools.product lists it, filtered to strips with a
+    row starting at 0."""
+    choices = [Row(lo, lo + length - 1)
+               for lo in range(max_offset + 1) for length in range(1, max_len + 1)]
+    return [HorizontalStrip(combo) for n in range(1, max_rows + 1)
+            for combo in itertools.product(choices, repeat=n)
+            if min(row.lo for row in combo) == 0]
+
+
+@given(
+    max_rows=st.integers(1, 4),
+    max_len=st.integers(1, 2),
+    max_offset=st.integers(0, 3),
+    data=st.data(),
+)
+def test_sampled_family_is_a_slice_of_the_full_family(max_rows, max_len, max_offset, data):
+    full = _product_family(max_rows, max_len, max_offset)
+    assert sweep_family(max_rows, max_len, max_offset) == full
+    sample = data.draw(st.one_of(
+        st.just(1), st.integers(1, len(full)), st.integers(len(full), len(full) + 3)))
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    if sample < len(full):
+        want = [full[t] for t in sorted(Random(seed).sample(range(len(full)), sample))]
+    else:
+        want = full
+    assert sweep_family(max_rows, max_len, max_offset, sample, seed) == want
+
+
+def _verify_without_memos(max_rows, max_len, max_offset, sample, seed, k):
+    """run_verify's report with llt_poly and canonical_form(pi_graph(.))
+    called afresh for every strip."""
+    nvars = k if k is not None else max_rows
+    buckets = {}
+    for strip in sweep_family(max_rows, max_len, max_offset, sample, seed):
+        form = canonical_form(pi_graph(strip))
+        buckets.setdefault(form, []).append((strip, llt_poly(strip, nvars)))
+    mismatches = [[format_strip(members[0][0]), format_strip(strip)]
+                  for members in buckets.values()
+                  for strip, poly in members[1:] if poly != members[0][1]]
+    by_poly = {}
+    for members in buckets.values():
+        by_poly.setdefault(members[0][1], []).append(members[0][0])
+    return {
+        "strips": sum(len(members) for members in buckets.values()),
+        "buckets": len(buckets),
+        "mismatches": mismatches,
+        "converse_failures": sum(len(v) * (len(v) - 1) // 2 for v in by_poly.values()),
+        "converse_example": next(
+            ([format_strip(v[0]), format_strip(v[1])] for v in by_poly.values() if len(v) > 1),
+            None),
+    }
+
+
+@given(
+    family=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2)),
+    sample=st.one_of(st.none(), st.integers(1, 40)),
+    seed=st.integers(0, 2**31 - 1),
+    k=st.one_of(st.none(), st.integers(1, 3)),
+    skewed=st.booleans(),
+)
+def test_run_verify_matches_a_memo_free_reference(family, sample, seed, k, skewed):
+    """Equal reports, and one engine run per distinct engine input in a
+    bucket. A skewed engine, whose answer also depends on the inversion
+    masks' sum, differs inside buckets, so mismatches are compared too."""
+    engine, runs = llt.llt_of_input, []
+
+    def counted(sizes, out, nvars):
+        runs.append((sizes, out))
+        f = engine(sizes, out, nvars)
+        return f * QPoly.q_power(sum(out) % 3) if skewed else f
+
+    with patch.object(llt, "llt_of_input", counted):
+        want = _verify_without_memos(*family, sample, seed, k)
+        runs.clear()
+        with patch.object(cli, "llt_of_input", counted):
+            got = run_verify(*family, sample=sample, seed=seed, k=k)
+    assert got == want
+    distinct = {(canonical_form(pi_graph(strip)), llt.llt_input(strip))
+                for strip in sweep_family(*family, sample, seed)}
+    assert sorted(runs) == sorted(engine_input for _, engine_input in distinct)

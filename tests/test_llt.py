@@ -1,10 +1,14 @@
+from itertools import combinations
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lltgraphs import (
     QPoly,
+    WeightedGraph,
+    extended_chromatic,
     gamma_graph,
     llt_poly,
     parse_strip,
@@ -12,6 +16,7 @@ from lltgraphs import (
     two_row_schur,
 )
 from lltgraphs.errors import NotUnicellular, PreconditionViolated
+from lltgraphs.llt import llt_input, llt_of_input
 from lltgraphs.qsymfunc import SymFunc
 from lltgraphs.strips import HorizontalStrip, Row
 
@@ -196,3 +201,70 @@ def test_running_example_top_coefficient():
     exp = to_basis(llt_poly(lam, 4), "s")
     # the lone highest-q term sits on the sorted row sizes
     assert exp.coeff((5, 4, 3, 1)) == QPoly.q_power(6)
+
+
+def test_llt_poly_reads_only_the_engine_input():
+    """A translate, and a strip whose rows differ but whose cells invert
+    alike, give the same engine input and so the same polynomial."""
+    strip = parse_strip("3/0,4/2")
+    # the second row's first cell sits at the first row's last content
+    assert llt_input(strip) == ((3, 2), (0, 0, 0, 0b00100, 0))
+    assert llt_input(parse_strip("5/2,6/4")) == llt_input(strip)
+    apart = llt_input(parse_strip("1/0,3/2"))
+    assert apart == ((1, 1), (0, 0))
+    assert llt_input(parse_strip("1/0,5/4")) == apart
+    assert llt_poly(parse_strip("1/0,5/4"), 2) == llt_of_input(*apart, 2)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_llt_poly_needs_a_variable(k):
+    with pytest.raises(ValueError, match="need at least one variable"):
+        llt_poly(parse_strip("2/0"), k)
+
+
+def _checked_of_counts(cls, k, degree, counts):
+    return SymFunc(k, degree, ((lam, QPoly(c)) for lam, c in counts.items()))
+
+
+def _trusted_and_checked(build):
+    """build() through the trusted result path of partition_dp and again
+    with that path swapped for the checking constructors."""
+    trusted = build()
+    with patch.object(SymFunc, "_of_counts", classmethod(_checked_of_counts)):
+        checked = build()
+    return trusted, checked
+
+
+def _same_result(trusted, checked):
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert trusted.is_zero == checked.is_zero
+    assert trusted.terms() == checked.terms() and str(trusted) == str(checked)
+    assert all(type(c) is int for _, poly in trusted.terms() for _, c in poly.pairs())
+
+
+@settings(max_examples=60)
+@given(rows=brute_strips(), k=st.integers(1, 4))
+def test_trusted_result_path_equals_checked_construction_on_strips(rows, k):
+    _same_result(*_trusted_and_checked(lambda: llt_poly(_strip(rows), k)))
+
+
+@settings(max_examples=60)
+@given(
+    weights=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+    edge_bits=st.integers(0, 2**10 - 1),
+    k=st.integers(1, 3),
+)
+def test_trusted_result_path_equals_checked_construction_on_colourings(weights, edge_bits, k):
+    pairs = combinations(range(1, len(weights) + 1), 2)
+    edges = [(a, b, 1) for t, (a, b) in enumerate(pairs) if edge_bits >> t & 1]
+    graph = WeightedGraph.from_edges(weights, edges)
+    _same_result(*_trusted_and_checked(lambda: extended_chromatic(graph, k)))
+
+
+def test_trusted_result_path_drops_empty_coordinates():
+    """A triangle has no proper colouring in two colours: the DP reaches
+    its end state with no counts, and both paths give zero."""
+    triangle = WeightedGraph.from_edges((1, 1, 1), [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
+    trusted, checked = _trusted_and_checked(lambda: extended_chromatic(triangle, 2))
+    assert trusted.is_zero and checked.is_zero
+    _same_result(trusted, checked)
