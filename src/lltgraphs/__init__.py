@@ -1,5 +1,5 @@
 """Exact arithmetic for horizontal-strip polynomials, the weighted interval
-graphs that control them, ribbon and chromatic relatives, and batch
+graphs that control them, their chromatic relatives, and batch
 verification of the graph-determines-polynomial property."""
 
 __version__ = "0.1.0"
@@ -8,14 +8,11 @@ from .compositions import (
     coarsening_multiset,
     coarsenings,
     compose,
-    compositions_of,
-    concat,
     format_composition,
-    multiset_equal,
     near_concat,
     parse_composition,
 )
-from .qsymfunc import BasisExpansion, QPoly, SymFunc, eval_basis, ribbon, to_basis
+from .qsymfunc import BasisExpansion, QPoly, SymFunc, eval_basis, to_basis
 from .strips import (
     HorizontalStrip,
     Row,
@@ -24,20 +21,14 @@ from .strips import (
     cycle,
     dc_triple,
     format_strip,
-    hl_strip,
     m_ij,
-    n_lambda,
     parse_strip,
     prec,
     rotate,
-    strip_compose,
-    strip_concat,
-    strip_near_concat,
     strip_of_composition,
-    total_edge_weight,
     translate,
 )
-from .llt import llt_poly, two_row_schur
+from .llt import llt_poly
 from .wgraph import (
     WeightedGraph,
     canonical_form,
@@ -51,9 +42,7 @@ from .wgraph import (
 from .chromatic import (
     chrom_quasisym,
     extended_chromatic,
-    path_graph,
     path_llt_h_expansion,
-    path_p_expansion,
     verify_plethysm_bridge,
 )
 from .structure import (
@@ -85,8 +74,6 @@ __all__ = [
     "commute_swap",
     "commutes",
     "compose",
-    "compositions_of",
-    "concat",
     "cycle",
     "dc_triple",
     "eval_basis",
@@ -95,7 +82,6 @@ __all__ = [
     "format_composition",
     "format_strip",
     "gamma_graph",
-    "hl_strip",
     "is_isomorphic",
     "is_nesting",
     "is_strict_pair",
@@ -103,30 +89,20 @@ __all__ = [
     "llt_poly",
     "local_rotate",
     "m_ij",
-    "multiset_equal",
-    "n_lambda",
     "near_concat",
     "parse_composition",
     "parse_strip",
-    "path_graph",
     "path_llt_h_expansion",
-    "path_p_expansion",
     "pi_graph",
     "prec",
     "predict_dc_graphs",
     "realize",
-    "ribbon",
     "rotate",
     "similarity_witness",
     "strict_pairs",
     "strict_sequences",
-    "strip_compose",
-    "strip_concat",
-    "strip_near_concat",
     "strip_of_composition",
     "to_basis",
-    "total_edge_weight",
     "translate",
-    "two_row_schur",
     "verify_plethysm_bridge",
 ]

@@ -33,15 +33,6 @@ from .strips import HorizontalStrip
 from .wgraph import WeightedGraph, gamma_graph
 
 
-def path_graph(alpha) -> WeightedGraph:
-    """The weighted path: vertex i weighted by the ith part, unit edges
-    joining consecutive vertices."""
-    alpha = comps.as_composition(alpha)
-    return WeightedGraph.from_edges(
-        alpha, [(i, i + 1, 1) for i in range(1, len(alpha))]
-    )
-
-
 def _colouring_sum(weights, edges, ascents, k: int) -> SymFunc:
     """Sum over proper colourings with colours 1..k of q^(ascents) times
     the product of x_colour^weight, by partition_dp. A state is the
@@ -103,18 +94,6 @@ def chrom_quasisym(graph: WeightedGraph, k: int) -> SymFunc:
                     f"({a}, {c}) without both ({a}, {b}) and ({b}, {c})"
                 )
     return _colouring_sum(graph.weights, edges, edges, k)
-
-
-def path_p_expansion(alpha) -> BasisExpansion:
-    """Power-sum expansion of the weighted path's chromatic function:
-    the signed sum over the coarsening multiset."""
-    alpha = comps.as_composition(alpha)
-    la = len(alpha)
-    coeffs = {
-        lam: -mult if (la - len(lam)) % 2 else mult
-        for lam, mult in comps.coarsening_multiset(alpha).items()
-    }
-    return BasisExpansion("p", sum(alpha), coeffs)
 
 
 def path_llt_h_expansion(alpha, printed_sign: bool = False) -> BasisExpansion:

@@ -1,9 +1,9 @@
 """Integer compositions and their concatenation calculus.
 
 A composition is a nonempty tuple of positive integers. Three products
-appear throughout: concatenation (append the parts), near-concatenation
-(merge the touching parts), and substitution compose(alpha, beta) built
-from near-concatenation powers of beta. Coarsenings sum adjacent runs of
+appear throughout: concatenation (tuple +, appending the parts),
+near-concatenation (merge the touching parts), and substitution
+compose(alpha, beta) built from near-concatenation powers of beta. Coarsenings sum adjacent runs of
 parts; collecting the sorted rearrangements of all 2^(l-1) coarsenings
 gives the multiset invariant that classifies ribbon functions and path
 chromatic functions.
@@ -45,10 +45,6 @@ def parse_composition(text: str) -> Composition:
 
 def format_composition(alpha: Composition) -> str:
     return ",".join(str(p) for p in alpha)
-
-
-def concat(alpha: Composition, beta: Composition) -> Composition:
-    return tuple(alpha) + tuple(beta)
 
 
 def near_concat(alpha: Composition, beta: Composition) -> Composition:
@@ -103,14 +99,3 @@ def partition_of(alpha: Composition) -> tuple[int, ...]:
 def coarsening_multiset(alpha: Composition) -> Counter:
     """Multiset of partitions of the coarsenings of alpha."""
     return Counter(partition_of(beta) for beta in coarsenings(alpha))
-
-
-def multiset_equal(alpha: Composition, beta: Composition) -> bool:
-    return coarsening_multiset(alpha) == coarsening_multiset(beta)
-
-
-def compositions_of(n: int) -> list[Composition]:
-    """Every composition of n: the coarsenings of (1, ..., 1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return coarsenings((1,) * n)

@@ -70,10 +70,6 @@ class PreconditionViolated(PreconditionError):
     """Generic named precondition failure (deletion-contraction and friends)."""
 
 
-class NormalizationFailed(PreconditionError):
-    """No cyclic shift gives the unique-extreme-cell form needed for concatenation."""
-
-
 class IndexOutOfRange(PreconditionError):
     """A 1-based row or vertex index does not exist."""
 

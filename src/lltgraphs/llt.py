@@ -21,8 +21,7 @@ cell-pair count lives in the test oracle.
 
 from __future__ import annotations
 
-from .errors import PreconditionViolated
-from .qsymfunc import BasisExpansion, QPoly, SymFunc, _check_int, partitions_of
+from .qsymfunc import SymFunc, _check_int, partitions_of
 from .strips import HorizontalStrip
 
 
@@ -141,15 +140,3 @@ def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int) -> SymFun
         return [(after, (wide & ~(after * repeat)).bit_count()) for _, after, wide in combos]
 
     return partition_dp(k, n, 0, full, moves)
-
-
-def two_row_schur(a: int, b: int, m: int) -> BasisExpansion:
-    """Schur expansion of a two-row strip with sizes a >= b and edge
-    weight m: the sum over t of q^min(m, t) s_(a+b-t, t)."""
-    if not a >= b >= m >= 0:
-        raise PreconditionViolated(f"need a >= b >= m >= 0, got ({a}, {b}, {m})")
-    coeffs = {}
-    for t in range(b + 1):
-        lam = (a + b - t, t) if t else ((a + b,) if a + b else ())
-        coeffs[lam] = QPoly.q_power(min(m, t))
-    return BasisExpansion("s", a + b, coeffs)

@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import factorial
 from operator import sub
 
-from . import compositions as comps
 from .errors import (
     InexactDivision,
     InsufficientVariables,
@@ -692,22 +691,6 @@ def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
             if not c.is_integral:
                 raise NonIntegralCoefficient(lam, c)
     return BasisExpansion(basis, f.degree, coeffs)
-
-
-def ribbon(alpha, k: int) -> SymFunc:
-    """Ribbon Schur polynomial of the composition alpha in k variables,
-    via the signed sum of complete homogeneous elements over the
-    coarsening multiset of alpha."""
-    alpha = comps.as_composition(alpha)
-    if k < sum(alpha):
-        raise InsufficientVariables(
-            f"ribbon of size {sum(alpha)} needs at least {sum(alpha)} variables"
-        )
-    coeffs = {
-        lam: -mult if (len(alpha) - len(lam)) % 2 else mult
-        for lam, mult in comps.coarsening_multiset(alpha).items()
-    }
-    return BasisExpansion("h", sum(alpha), coeffs).evaluate(k)
 
 
 def plethystic_q_substitute(exp: BasisExpansion) -> BasisExpansion:

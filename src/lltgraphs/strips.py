@@ -8,11 +8,9 @@ later-indexed row before intersecting when the earlier row starts
 further right.
 
 Everything here is a pure function on immutable values: the pairing and
-the predicates built from it (commutes, prec), the weight statistics
-n_lambda and total_edge_weight, the similarity moves (translate, cycle,
-rotate, commute_swap), the deletion-contraction split dc_triple, and
-the concatenation calculus used to mirror composition products on
-strips.
+the predicates built from it (commutes, prec), the similarity moves
+(translate, cycle, rotate, commute_swap), the deletion-contraction split
+dc_triple, and the path strip of a composition.
 """
 
 from __future__ import annotations
@@ -23,11 +21,10 @@ from dataclasses import dataclass
 from .errors import (
     IndexOutOfRange,
     NonCommutingSwap,
-    NormalizationFailed,
     ParseError,
     PreconditionViolated,
 )
-from .qsymfunc import _check_int, _check_partition
+from .qsymfunc import _check_int
 
 
 @dataclass(frozen=True, order=True)
@@ -160,29 +157,8 @@ def prec(strip: HorizontalStrip, i: int, j: int) -> bool:
     return m_ij(strip, i, j) == strip.row(i).size
 
 
-def n_lambda(strip: HorizontalStrip) -> int:
-    """Sum of (i-1) * sigma_i over the decreasing rearrangement sigma of
-    the row sizes; equals the sum of pairwise minima."""
-    sizes = sorted(strip.sizes, reverse=True)
-    return sum(i * s for i, s in enumerate(sizes))
-
-
-def total_edge_weight(strip: HorizontalStrip) -> int:
-    rows = strip.rows
-    return sum(
-        m_pair(rows[i], rows[j])
-        for i in range(len(rows))
-        for j in range(i + 1, len(rows))
-    )
-
-
 def translate(strip: HorizontalStrip, d: int) -> HorizontalStrip:
     return HorizontalStrip(tuple(r.shifted(d) for r in strip.rows))
-
-
-def normalize_translation(strip: HorizontalStrip) -> HorizontalStrip:
-    """Translate so the minimum content is 0."""
-    return translate(strip, -strip.min_content)
 
 
 def cycle(strip: HorizontalStrip) -> HorizontalStrip:
@@ -249,83 +225,3 @@ def strip_of_composition(alpha) -> HorizontalStrip:
         Row(prefix[n - i], prefix[n - i + 1] - 1) for i in range(1, n + 1)
     )
     return HorizontalStrip(rows)
-
-
-def hl_strip(partition) -> HorizontalStrip:
-    """All rows left-justified at content 0, row sizes the parts of the
-    given partition (a bool or a float part is a TypeError)."""
-    parts = _check_partition(partition)
-    return HorizontalStrip(tuple(Row(0, p - 1) for p in parts))
-
-
-def _cycle_until(strip: HorizontalStrip, good) -> HorizontalStrip:
-    s = strip
-    for _ in range(strip.n):
-        if good(s):
-            return s
-        s = cycle(s)
-    raise NormalizationFailed(
-        f"no cyclic shift of {strip.literal} has the required unique extreme cell"
-    )
-
-
-def _unique_max_in_first(s: HorizontalStrip) -> bool:
-    top = s.max_content
-    holders = [r for r in s.rows if r.hi == top]
-    return len(holders) == 1 and s.rows[0].hi == top
-
-
-def _unique_min_in_last(s: HorizontalStrip) -> bool:
-    bottom = s.min_content
-    holders = [r for r in s.rows if r.lo == bottom]
-    return len(holders) == 1 and s.rows[-1].lo == bottom
-
-
-def _concat_blocks(lam: HorizontalStrip, mu: HorizontalStrip):
-    """Normalized pieces for concatenation: lam cycled so its unique
-    maximal cell leads, mu cycled so its unique minimal cell trails and
-    translated to start at content 0, and the join height N."""
-    lam = _cycle_until(lam, _unique_max_in_first)
-    mu = _cycle_until(mu, _unique_min_in_last)
-    mu = normalize_translation(mu)
-    return lam, mu, lam.max_content + 1
-
-
-def strip_concat(lam: HorizontalStrip, mu: HorizontalStrip) -> HorizontalStrip:
-    lam, mu, n = _concat_blocks(lam, mu)
-    return HorizontalStrip(
-        tuple(r.shifted(n) for r in mu.rows) + lam.rows
-    )
-
-
-def strip_near_concat(lam: HorizontalStrip, mu: HorizontalStrip) -> HorizontalStrip:
-    """Concatenate, then merge the touching pair (the shifted last row
-    of mu and the first row of lam) into its union; the intersection of
-    that pair is empty by construction and is dropped."""
-    lam, mu, n = _concat_blocks(lam, mu)
-    shifted = [r.shifted(n) for r in mu.rows]
-    union = Row(lam.rows[0].lo, shifted[-1].hi)
-    return HorizontalStrip(
-        tuple(shifted[:-1]) + (union,) + lam.rows[1:]
-    )
-
-
-def strip_near_concat_power(strip: HorizontalStrip, k: int) -> HorizontalStrip:
-    if k < 1:
-        raise ValueError("power must be at least 1")
-    out = strip
-    for _ in range(k - 1):
-        out = strip_near_concat(out, strip)
-    return out
-
-
-def strip_compose(alpha, strip: HorizontalStrip) -> HorizontalStrip:
-    """Concatenate near-concatenation powers of the strip, one per part."""
-    alpha = tuple(alpha)
-    if not alpha or any(p < 1 for p in alpha):
-        raise ValueError("need a composition with positive parts")
-    out = None
-    for part in alpha:
-        block = strip_near_concat_power(strip, part)
-        out = block if out is None else strip_concat(out, block)
-    return out

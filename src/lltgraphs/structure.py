@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -58,33 +58,6 @@ class NoncommutingPath:
     @property
     def endpoints(self) -> tuple[int, int]:
         return self.indices[0], self.indices[-1]
-
-
-def is_noncommuting_path(strip: HorizontalStrip, indices: tuple[int, ...]) -> bool:
-    """True when indices form an increasing chain of >= 3 rows, each
-    consecutive pair noncommuting."""
-    if len(indices) < 3:
-        return False
-    if any(a >= b for a, b in zip(indices, indices[1:])):
-        return False
-    if indices[0] < 1 or indices[-1] > strip.n:
-        return False
-    rows = [strip.row(t) for t in indices]
-    return all(not commutes(a, b) for a, b in zip(rows, rows[1:]))
-
-
-def is_minimal_ncp(strip: HorizontalStrip, indices: tuple[int, ...]) -> bool:
-    """True when the chain is a noncommuting path and no shorter subsequence
-    with the same endpoints is one too."""
-    if not is_noncommuting_path(strip, indices):
-        return False
-    interior = indices[1:-1]
-    for size in range(1, len(interior)):
-        for picked in combinations(interior, size):
-            sub = (indices[0],) + picked + (indices[-1],)
-            if is_noncommuting_path(strip, sub):
-                return False
-    return True
 
 
 def find_minimal_ncp(strip: HorizontalStrip, i: int, j: int) -> Optional[NoncommutingPath]:

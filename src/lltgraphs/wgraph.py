@@ -86,13 +86,20 @@ class WeightedGraph:
 
     @classmethod
     def from_edges(cls, weights, edges) -> "WeightedGraph":
+        """Graph from 1-based (i, j, weight) triples; an unordered pair
+        stated twice is a ValueError, even with equal weights."""
         weights = tuple(weights)
         n = len(weights)
         matrix = [[0] * n for _ in range(n)]
+        seen = set()
         for i, j, w in edges:
             i, j = _check_int(i, "edge endpoint"), _check_int(j, "edge endpoint")
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise ValueError(f"bad edge endpoints ({i}, {j})")
+            pair = (min(i, j), max(i, j))
+            if pair in seen:
+                raise ValueError(f"edge {pair} given more than once")
+            seen.add(pair)
             matrix[i - 1][j - 1] = w
             matrix[j - 1][i - 1] = w
         return cls(weights, tuple(tuple(row) for row in matrix))
@@ -370,6 +377,8 @@ def realize(g: WeightedGraph, bound: int | None = None):
 
 def llt_of_graph(g: WeightedGraph, bound: int | None = None) -> SymFunc:
     """Polynomial of any realization at k = vertex count."""
+    if bound is None:
+        bound = sum(g.weights)
     strip = realize(g, bound)
     if strip is None:
         raise NotRealizedWithinBound(

@@ -18,19 +18,16 @@ from lltgraphs import (
     canonical_form,
     chrom_quasisym,
     commutes,
-    compositions_of,
+    coarsening_multiset,
+    coarsenings,
     dc_triple,
     extended_chromatic,
     gamma_graph,
-    hl_strip,
     is_isomorphic,
     is_nesting,
     llt_poly,
     m_ij,
-    multiset_equal,
-    n_lambda,
     parse_strip,
-    path_graph,
     path_llt_h_expansion,
     pi_graph,
     prec,
@@ -40,15 +37,15 @@ from lltgraphs import (
     strict_sequences,
     strip_of_composition,
     to_basis,
-    total_edge_weight,
-    two_row_schur,
     verify_plethysm_bridge,
 )
 from lltgraphs.qsymfunc import BasisExpansion, partitions_of
-from lltgraphs.structure import is_minimal_ncp, local_rotate
+from lltgraphs.strips import HorizontalStrip, Row
+from lltgraphs.structure import local_rotate
 from lltgraphs.errors import BlockNotSeparable, HypothesisViolated, PreconditionViolated
 from lltgraphs.cli import run_verify
 
+from formulas import is_minimal_ncp, path_graph, two_row_schur
 from oracle import kostka, raw_strict_sequences
 
 DATA = Path(__file__).parent / "data"
@@ -72,7 +69,7 @@ def path_polys():
     """llt of the staircase strip of alpha, in |alpha| variables, |alpha| <= 6."""
     cache = {}
     for n in range(1, 7):
-        for alpha in compositions_of(n):
+        for alpha in coarsenings((1,) * n):
             cache[alpha] = llt_poly(strip_of_composition(alpha), n)
     return cache
 
@@ -228,18 +225,19 @@ def test_criterion_07_path_classification(criterion_log, path_polys):
     problems = []
     pairs = 0
     for n in range(1, 7):
-        comps = list(compositions_of(n))
+        comps = coarsenings((1,) * n)
         for a, b in itertools.combinations(comps, 2):
             pairs += 1
-            if (path_polys[a] == path_polys[b]) != multiset_equal(a, b):
+            if (path_polys[a] == path_polys[b]) != (
+                    coarsening_multiset(a) == coarsening_multiset(b)):
                 problems.append(f"llt side wrong on {a} vs {b}")
     xpairs = 0
     for n in range(1, 8):
-        comps = list(compositions_of(n))
+        comps = coarsenings((1,) * n)
         xs = [extended_chromatic(path_graph(alpha), n) for alpha in comps]
         for (a, xa), (b, xb) in itertools.combinations(zip(comps, xs), 2):
             xpairs += 1
-            if (xa == xb) != multiset_equal(a, b):
+            if (xa == xb) != (coarsening_multiset(a) == coarsening_multiset(b)):
                 problems.append(f"chromatic side wrong on {a} vs {b}")
     conclude(
         criterion_log,
@@ -350,11 +348,13 @@ def test_criterion_11_maximal_overlap_degeneration(criterion_log, sweep_main,
         ((s, p, 3) for s, p in zip(sweep_main, sweep_main_polys)),
         ((s, None, 4) for s in sweep_uni),
     ):
-        if total_edge_weight(strip) != n_lambda(strip):
+        sizes = sorted(strip.sizes, reverse=True)
+        n_lambda = sum(i * size for i, size in enumerate(sizes))
+        if sum(w for _, _, w in pi_graph(strip).edge_list()) != n_lambda:
             continue
-        sizes = tuple(sorted((r.size for r in strip.rows), reverse=True))
+        left_justified = HorizontalStrip(tuple(Row(0, p - 1) for p in sizes))
         lhs = poly if poly is not None else llt_poly(strip, k)
-        if lhs != llt_poly(hl_strip(sizes), k):
+        if lhs != llt_poly(left_justified, k):
             problems.append(f"degeneration fails on {strip}")
         else:
             checked += 1

@@ -10,21 +10,20 @@ from lltgraphs import (
     extended_chromatic,
     gamma_graph,
     llt_poly,
+    coarsenings,
+    near_concat,
     parse_strip,
-    path_graph,
     path_llt_h_expansion,
-    path_p_expansion,
     pi_graph,
-    strip_compose,
     strip_of_composition,
     to_basis,
     verify_plethysm_bridge,
 )
 from lltgraphs.chromatic import chrom_quasisym
-from lltgraphs.compositions import compositions_of, concat, near_concat
 from lltgraphs.errors import NotSymmetric, NotUnicellular, PreconditionViolated
 from lltgraphs.strips import HorizontalStrip, Row
 
+from formulas import path_graph, path_p_expansion, strip_compose
 from oracle import brute_chrom_quasisym, brute_extended_chromatic, llt_via_colourings
 
 
@@ -115,11 +114,11 @@ def test_path_product_splits_into_concatenations():
         return cache[alpha]
 
     for total_a in range(1, 5):
-        for alpha in compositions_of(total_a):
+        for alpha in coarsenings((1,) * total_a):
             for total_b in range(1, 7 - total_a):
-                for beta in compositions_of(total_b):
+                for beta in coarsenings((1,) * total_b):
                     lhs = x(alpha) * x(beta)
-                    rhs = x(concat(alpha, beta)) + x(near_concat(alpha, beta))
+                    rhs = x(alpha + beta) + x(near_concat(alpha, beta))
                     assert lhs == rhs, (alpha, beta)
 
 

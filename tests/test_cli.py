@@ -170,6 +170,25 @@ def test_chromatic_rejects_non_integer_graph_json(runner, graph):
     assert json.loads(result.stderr)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "command, graphs",
+    [
+        ("iso", ["--a", '{"weights":[2,2],"edges":[[1,2,1],[2,1,2]]}',
+                 "--b", '{"weights":[2,2],"edges":[[1,2,2]]}']),
+        ("chromatic", ["--graph", '{"weights":[1,1],"edges":[[1,2,1],[1,2,0]]}']),
+    ],
+    ids=["iso-conflicting-weights", "chromatic-dropped-edge"],
+)
+def test_graph_json_with_a_pair_given_twice_is_a_parse_error(runner, command, graphs):
+    result = invoke(runner, command, *graphs)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ParseError"
+    assert "(1, 2)" in error["message"]
+
+
 def test_chromatic_wide_rows_hit_precondition(runner):
     result = invoke(runner, "chromatic", "--strip", "2/0,1/0")
     assert result.exit_code == 3

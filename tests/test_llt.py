@@ -6,20 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lltgraphs import (
+    BasisExpansion,
     QPoly,
     WeightedGraph,
     extended_chromatic,
     gamma_graph,
     llt_poly,
     parse_strip,
+    pi_graph,
     to_basis,
-    two_row_schur,
 )
 from lltgraphs.errors import NotUnicellular, PreconditionViolated
 from lltgraphs.llt import llt_input, llt_of_input
 from lltgraphs.qsymfunc import SymFunc
 from lltgraphs.strips import HorizontalStrip, Row
 
+from formulas import two_row_schur
 from oracle import brute_inversions, brute_llt, llt_via_colourings
 
 RUNNING = "4/0,5/4,8/5,6/1"
@@ -133,15 +135,48 @@ def test_llt_poly_is_symmetric():
 
 
 def test_top_degree_is_total_edge_weight(sweep_main, sweep_main_polys):
-    from lltgraphs import total_edge_weight
-
     for strip, f in zip(sweep_main, sweep_main_polys):
-        assert top_q_degree(f) == total_edge_weight(strip)
+        assert top_q_degree(f) == sum(w for _, _, w in pi_graph(strip).edge_list())
 
 
 def test_top_degree_of_zero_polynomial_raises():
     with pytest.raises(ValueError):
         top_q_degree(SymFunc.zero(2, 3))
+
+
+@st.composite
+def theory_strips(draw, max_rows=6, max_cells=13):
+    """Strips of 1 to max_rows rows and at most max_cells cells, contents
+    from -3 on: many are past the brute-force oracle's reach."""
+    rows, cells = [], 0
+    for left in range(draw(st.integers(1, max_rows)), 0, -1):
+        size = draw(st.integers(1, min(4, max_cells - cells - (left - 1))))
+        lo = draw(st.integers(-3, 4))
+        rows.append(Row(lo, lo + size - 1))
+        cells += size
+    return HorizontalStrip(tuple(rows))
+
+
+@given(strip=theory_strips())
+def test_llt_poly_is_schur_positive(strip):
+    """Grojnowski and Haiman (2007): every LLT polynomial is a sum of
+    Schur functions with coefficients in N[q]."""
+    for lam, c in to_basis(llt_poly(strip), "s").items():
+        assert all(a > 0 for _, a in c.pairs()), (strip.literal, lam)
+
+
+@given(strip=theory_strips())
+def test_llt_poly_at_q_one_is_h_of_the_row_sizes(strip):
+    """Haglund, Haiman and Loehr (JAMS 2005): at q = 1 the LLT
+    polynomial is the product of h over the row sizes."""
+    k = strip.n
+    sizes = tuple(sorted(strip.sizes, reverse=True))
+    want = BasisExpansion("h", sum(sizes), {sizes: QPoly.one()}).evaluate(k)
+
+    def at_q_one(f):
+        return {lam: c.evaluate(1) for lam, c in to_basis(f, "m").items()}
+
+    assert at_q_one(llt_poly(strip, k)) == at_q_one(want), strip.literal
 
 
 def test_two_row_formula_smallest_case():

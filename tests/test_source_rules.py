@@ -36,28 +36,28 @@ def test_library_has_no_float_literals():
     assert found == []
 
 
-# Public module-level names that nothing in the library calls, each with
-# the acceptance criterion, benchmark entry or paper-relation test that
-# needs it. Anything else public must have a caller in the library.
+# Public module-level names that nothing in the library calls yet, each
+# with the ROADMAP item or benchmark file that will call it. Anything else
+# public must have a caller in the library; closed forms that only tests
+# compare against live in tests/formulas.py.
 PUBLIC_WITHOUT_LIBRARY_CALLER = {
-    "compositions_of": "criteria 7 and 8 enumerate the path strips with it",
-    "concat": "test_path_product_splits_into_concatenations (concatenation identity)",
-    "dc_triple": "criterion 5 (deletion-contraction on strips)",
-    "eval_basis": "bench/tracing.py traces qsymfunc.eval_basis",
-    "hl_strip": "criterion 11 (maximal overlap gives the left-justified strip)",
-    "is_minimal_ncp": "criterion 10 (minimal noncommuting paths)",
-    "llt_of_graph": "test_llt_of_graph_agrees_with_direct_polynomial (graph-indexed polynomial)",
-    "multiset_equal": "criterion 7 (paths classified by coarsening multiset)",
-    "n_lambda": "criterion 11 (total edge weight equals n(lambda))",
-    "path_graph": "criterion 7 (chromatic side of the path classification)",
-    "path_p_expansion": "test_path_p_expansion_evaluates_to_chromatic (path power-sum formula)",
-    "predict_dc_graphs": "criterion 5 (deletion-contraction on graphs)",
-    "ribbon": "test_ribbon_product_identity and test_ribbon_equality_tracks_coarsening_multiset",
-    "strip_compose": "test_composed_strips_share_polynomial",
-    "total_edge_weight": "criterion 11 (total edge weight equals n(lambda))",
-    "two_row_schur": "criterion 6 (two-row formula)",
-    "verify_plethysm_bridge": "criterion 9 (plethysm bridge)",
+    "dc_triple": "ROADMAP item 5 (proof certificates); criterion 5 checks it",
+    "eval_basis": "bench/tracing.py traces qsymfunc.eval_basis (ROADMAP item 1)",
+    "llt_of_graph": "ROADMAP items 3 and 4 (llt --graph, deletion-contraction on graphs)",
+    "predict_dc_graphs": "ROADMAP item 4 (deletion-contraction on graphs)",
+    "verify_plethysm_bridge": "ROADMAP item 9 (the bridge far past the sweeps); criterion 9",
 }
+
+
+def test_every_allow_listed_name_says_which_roadmap_item_or_bench_file_needs_it():
+    assert sorted(name for name, why in PUBLIC_WITHOUT_LIBRARY_CALLER.items()
+                  if not why.startswith(("ROADMAP item", "bench/"))) == []
+
+
+def test_every_name_in_all_resolves_on_the_package():
+    """A name left in __all__ after its definition moves away fails only
+    on `from lltgraphs import *`, so check each one directly."""
+    assert [name for name in lltgraphs.__all__ if not hasattr(lltgraphs, name)] == []
 
 
 def _click_command(node) -> bool:

@@ -7,18 +7,13 @@ from lltgraphs import (
     cycle,
     dc_triple,
     format_strip,
-    hl_strip,
     llt_poly,
     m_ij,
-    n_lambda,
     parse_strip,
+    pi_graph,
     prec,
     rotate,
-    strip_compose,
-    strip_concat,
-    strip_near_concat,
     strip_of_composition,
-    total_edge_weight,
     translate,
 )
 from lltgraphs.errors import (
@@ -27,9 +22,10 @@ from lltgraphs.errors import (
     ParseError,
     PreconditionViolated,
 )
-from lltgraphs.strips import commutes, m_pair, normalize_translation
+from lltgraphs.strips import commutes, m_pair
 
 import oracle
+from formulas import strip_compose, strip_concat, strip_near_concat
 
 RUNNING = "4/0,5/4,8/5,6/1"
 
@@ -70,8 +66,9 @@ def test_edge_weights_of_running_example(lam):
         (2, 4): 1,
         (3, 4): 2,
     }
-    assert total_edge_weight(lam) == 6
-    assert n_lambda(lam) == 13
+    assert sum(w for _, _, w in pi_graph(lam).edge_list()) == 6
+    sizes = sorted(lam.sizes, reverse=True)
+    assert sum(i * size for i, size in enumerate(sizes)) == 13
 
 
 def test_m_ij_matches_plain_interval_oracle(sweep_main):
@@ -107,8 +104,8 @@ def test_prec_examples(lam):
 def test_translate_and_normalize(lam):
     up = translate(lam, 2)
     assert up.rows[0] == Row(2, 5)
-    assert normalize_translation(up).rows == lam.rows
-    assert normalize_translation(up).min_content == 0
+    assert translate(up, -up.min_content).rows == lam.rows
+    assert translate(up, -up.min_content).min_content == 0
 
 
 def test_cycle_of_translated_running_example(lam):
@@ -182,18 +179,6 @@ def test_strip_of_composition():
 def test_rows_refuse_non_int_bounds(build):
     with pytest.raises(TypeError):
         build()
-
-
-def test_hl_strip_left_justifies():
-    assert hl_strip((3, 2, 2)) == parse_strip("3/0,2/0,2/0")
-    with pytest.raises(ValueError):
-        hl_strip((1, 2))
-
-
-@pytest.mark.parametrize("parts", [(2.5,), (2.0, 1), (True,)], ids=["float", "float-integral", "bool"])
-def test_hl_strip_refuses_non_int_parts(parts):
-    with pytest.raises(TypeError):
-        hl_strip(parts)
 
 
 def test_strip_concat_and_near_concat():

@@ -37,13 +37,12 @@ from lltgraphs.strips import (
     Row,
     commute_swap,
     cycle,
-    normalize_translation,
     rotate,
     translate,
 )
 from lltgraphs import structure
-from lltgraphs.structure import is_minimal_ncp, is_noncommuting_path
 
+from formulas import is_minimal_ncp, is_noncommuting_path
 from oracle import commutes as brute_commutes, raw_strict_sequences
 
 
@@ -428,7 +427,7 @@ def public_neighbours(strip):
         except (PreconditionViolated, HypothesisViolated, BlockNotSeparable):
             pass
     return [
-        (move, tuple((r.lo, r.hi) for r in normalize_translation(out).rows))
+        (move, tuple((r.lo, r.hi) for r in translate(out, -out.min_content).rows))
         for move, out in found
     ]
 
@@ -436,7 +435,7 @@ def public_neighbours(strip):
 def flat_state(strip):
     """The search's state of a strip: its rows as one flat (lo, hi, ...)
     tuple at minimum content 0."""
-    return tuple(x for r in normalize_translation(strip).rows for x in (r.lo, r.hi))
+    return tuple(x for r in translate(strip, -strip.min_content).rows for x in (r.lo, r.hi))
 
 
 def search_neighbours(strip):
@@ -548,8 +547,8 @@ def reference_witness(lam, mu, budget, neighbours):
     replayed with a translate to content 0 after each move that leaves it."""
     if lam.rows == mu.rows:
         return []
-    start = tuple((r.lo, r.hi) for r in normalize_translation(lam).rows)
-    goal = tuple((r.lo, r.hi) for r in normalize_translation(mu).rows)
+    start = tuple((r.lo, r.hi) for r in translate(lam, -lam.min_content).rows)
+    goal = tuple((r.lo, r.hi) for r in translate(mu, -mu.min_content).rows)
     parent = {start: None}
     frontier = deque([start] if start != goal else [])
     while frontier:

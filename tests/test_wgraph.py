@@ -22,6 +22,7 @@ from lltgraphs.cli import main
 from lltgraphs.errors import (
     IndexOutOfRange,
     NotRealizedWithinBound,
+    ParseError,
     PreconditionViolated,
 )
 from lltgraphs.strips import HorizontalStrip, Row
@@ -159,6 +160,24 @@ def test_claw_is_not_realized():
 def test_unit_cycle_is_not_realized(n):
     cycle = WeightedGraph.from_edges((1,) * n, [(i, i % n + 1, 1) for i in range(1, n + 1)])
     assert realize(cycle) is None
+
+
+def test_llt_of_graph_names_the_default_bound_it_searched():
+    cycle = WeightedGraph.from_edges((1,) * 5, [(i, i % 5 + 1, 1) for i in range(1, 6)])
+    with pytest.raises(NotRealizedWithinBound, match="offset bound 5$"):
+        llt_of_graph(cycle)
+
+
+@pytest.mark.parametrize(
+    "edges", [[(1, 2, 1), (2, 1, 2)], [(1, 2, 1), (1, 2, 0)], [(1, 3, 1), (1, 3, 1)]],
+    ids=["reversed-pair", "zero-weight-repeat", "same-weight-repeat"],
+)
+def test_from_edges_refuses_a_pair_given_twice(edges):
+    with pytest.raises(ValueError, match=r"edge \(1, [23]\) given more than once"):
+        WeightedGraph.from_edges((2, 2, 2), edges)
+    payload = {"weights": [2, 2, 2], "edges": [list(e) for e in edges]}
+    with pytest.raises(ParseError, match="given more than once"):
+        WeightedGraph.from_json_dict(payload)
 
 
 def test_llt_of_graph_agrees_with_direct_polynomial():
