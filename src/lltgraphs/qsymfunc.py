@@ -115,6 +115,9 @@ class QPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its number, so it hashes as that number
+        if self._coeffs.keys() <= {0}:
+            return hash(self._coeffs.get(0, 0))
         return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other):
@@ -557,7 +560,9 @@ class BasisExpansion:
         )
 
     def __hash__(self):
-        return hash((self.basis, self.degree, frozenset(self._coeffs.items())))
+        # zero expansions of any degree are equal, so zero hashes without it
+        return hash((self.basis, self.degree if self._coeffs else 0,
+                     frozenset(self._coeffs.items())))
 
     def evaluate(self, k: int) -> SymFunc:
         """Expand back into a polynomial in k variables, in m-coordinates;

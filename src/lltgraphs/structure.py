@@ -94,24 +94,26 @@ def find_minimal_ncp(strip: HorizontalStrip, i: int, j: int) -> Optional[Noncomm
     return NoncommutingPath(tuple(chain))
 
 
+def _overfills(strip: HorizontalStrip, i: int, j: int) -> bool:
+    """Rows i and j together overlap some third row k in more cells than it
+    holds: m_ik + m_jk > |R_k|."""
+    return any(
+        m_ij(strip, i, k) + m_ij(strip, j, k) > strip.row(k).size
+        for k in range(1, strip.n + 1)
+        if k not in (i, j)
+    )
+
+
 def is_strict_pair(strip: HorizontalStrip, i: int, j: int) -> bool:
     """True when rows i < j with lo(R_i) < lo(R_j) either overlap partially
     (0 < m < both sizes) or are disjoint but jointly overfill a third row."""
-    ri = strip.row(i)
-    rj = strip.row(j)
+    ri, rj = strip.row(i), strip.row(j)
     if i >= j or ri.lo >= rj.lo:
         return False
     m = m_ij(strip, i, j)
-    if 0 < m < min(ri.size, rj.size):
-        return True
-    if m != 0:
-        return False
-    for k in range(1, strip.n + 1):
-        if k in (i, j):
-            continue
-        if m_ij(strip, i, k) + m_ij(strip, j, k) >= strip.row(k).size + 1:
-            return True
-    return False
+    if m == 0:
+        return _overfills(strip, i, j)
+    return m < min(ri.size, rj.size)
 
 
 def strict_pairs(strip: HorizontalStrip) -> list[tuple[int, int]]:
@@ -167,11 +169,8 @@ def is_nesting(strip: HorizontalStrip) -> bool:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if m_ij(strip, i, j) == 0:
-                for k in range(1, n + 1):
-                    if k in (i, j):
-                        continue
-                    if m_ij(strip, i, k) + m_ij(strip, j, k) > strip.row(k).size:
-                        return False
+                if _overfills(strip, i, j):
+                    return False
             elif not (prec(strip, i, j) or prec(strip, j, i)):
                 return False
     return True
@@ -181,116 +180,43 @@ def _classify_companions(strip: HorizontalStrip, i: int) -> tuple[set[int], set[
     """Split the rows other than i-1, i by their overlap pattern with the pair
     and verify the five coverage conditions; returns the companion sets of
     row i-1 and of row i."""
-    n = strip.n
-    outside = [t for t in range(1, n + 1) if t not in (i - 1, i)]
-    both_zero = set()
-    both_pos = set()
-    left_only = set()
-    right_only = set()
+    outside = [t for t in range(1, strip.n + 1) if t not in (i - 1, i)]
+    meets = {t: (m_ij(strip, i - 1, t) > 0, m_ij(strip, i, t) > 0) for t in outside}
+    both_zero = {t for t in outside if meets[t] == (False, False)}
+    both_pos = {t for t in outside if meets[t] == (True, True)}
+    left_only = {t for t in outside if meets[t] == (True, False)}
+    right_only = {t for t in outside if meets[t] == (False, True)}
     for t in outside:
-        ml = m_ij(strip, i - 1, t)
-        mr = m_ij(strip, i, t)
-        if ml == 0 and mr == 0:
-            both_zero.add(t)
-        elif ml > 0 and mr > 0:
-            both_pos.add(t)
-        elif ml > 0:
-            left_only.add(t)
-        else:
-            right_only.add(t)
-    for t in outside:
-        ml = m_ij(strip, i - 1, t)
-        mr = m_ij(strip, i, t)
-        if ml > 0 and mr > 0 and not (prec(strip, i - 1, t) and prec(strip, i, t)):
+        if t in both_pos and not (prec(strip, i - 1, t) and prec(strip, i, t)):
             raise HypothesisViolated(1, t)
-        if ml > 0 and mr == 0 and not prec(strip, t, i - 1):
+        if t in left_only and not prec(strip, t, i - 1):
             raise HypothesisViolated(2, t)
-        if ml == 0 and mr > 0 and not prec(strip, t, i):
+        if t in right_only and not prec(strip, t, i):
             raise HypothesisViolated(3, t)
-        if prec(strip, t, i - 1):
-            if m_ij(strip, i, t) != 0:
-                raise HypothesisViolated(4, t)
-            if any(m_ij(strip, a, t) != 0 for a in both_zero if a != t):
-                raise HypothesisViolated(4, t)
-            if any(not prec(strip, t, b) for b in both_pos if b != t):
-                raise HypothesisViolated(4, t)
-        if prec(strip, t, i):
-            if m_ij(strip, i - 1, t) != 0:
-                raise HypothesisViolated(5, t)
-            if any(m_ij(strip, a, t) != 0 for a in both_zero if a != t):
-                raise HypothesisViolated(5, t)
-            if any(not prec(strip, t, b) for b in both_pos if b != t):
-                raise HypothesisViolated(5, t)
+        # 4 and 5: a row inside one row of the pair misses the other row
+        # and every row missing the pair, and sits inside every row meeting both
+        for condition, own, other in ((4, i - 1, i), (5, i, i - 1)):
+            if prec(strip, t, own) and (
+                m_ij(strip, other, t) != 0
+                or any(m_ij(strip, a, t) != 0 for a in both_zero if a != t)
+                or any(not prec(strip, t, b) for b in both_pos if b != t)
+            ):
+                raise HypothesisViolated(condition, t)
     return left_only, right_only
-
-
-def _arrange_block(
-    strip: HorizontalStrip,
-    i: int,
-    cut: int,
-    left_members: set[int],
-    right_members: set[int],
-) -> Optional[tuple[list[Row], int]]:
-    """Cycle `cut` times, then bubble companion rows next to the centre pair
-    using commuting swaps only.
-
-    Returns (rows, pair_pos) with pair_pos the 0-based position of row i-1,
-    or None when this cut cannot produce a contiguous block.
-    """
-    n = strip.n
-    current = strip
-    for _ in range(cut):
-        current = cycle(current)
-    labels = []
-    for q in range(n):
-        orig = (q + cut) % n + 1
-        if orig == i - 1:
-            labels.append("pair_left")
-        elif orig == i:
-            labels.append("pair_right")
-        elif orig in left_members:
-            labels.append("left")
-        elif orig in right_members:
-            labels.append("right")
-        else:
-            labels.append("out")
-    p = labels.index("pair_left")
-    if p + 1 >= n or labels[p + 1] != "pair_right":
-        return None
-    if any(lab == "left" and q > p for q, lab in enumerate(labels)):
-        return None
-    if any(lab == "right" and q < p for q, lab in enumerate(labels)):
-        return None
-    rows = list(current.rows)
-    target = p + 2
-    for _ in range(len(right_members)):
-        src = next(q for q in range(target, n) if labels[q] == "right")
-        for q in range(src, target, -1):
-            if not commutes(rows[q - 1], rows[q]):
-                return None
-            rows[q - 1], rows[q] = rows[q], rows[q - 1]
-            labels[q - 1], labels[q] = labels[q], labels[q - 1]
-        target += 1
-    target = p - 1
-    for _ in range(len(left_members)):
-        src = next(q for q in range(target, -1, -1) if labels[q] == "left")
-        for q in range(src, target):
-            if not commutes(rows[q], rows[q + 1]):
-                return None
-            rows[q], rows[q + 1] = rows[q + 1], rows[q]
-            labels[q], labels[q + 1] = labels[q + 1], labels[q]
-        target -= 1
-    return rows, p
 
 
 def local_rotate(strip: HorizontalStrip, i: int) -> HorizontalStrip:
     """Reflect the block formed by rows i-1, i and their companion rows.
 
-    Requires row i to start in the column right after row i-1 ends.  The
-    companion rows are gathered next to the pair by cycling and commuting
-    swaps, then the whole block is reversed and each row [lo, hi] replaced by
-    [N-hi, N-lo] with N = lo(row i-1) + hi(row i).  The result has an
-    isomorphic weighted graph and the same polynomial.
+    Requires row i to start in the column right after row i-1 ends.  A
+    companion of one row of the pair meets it but not the other.  The first
+    cut = 0, 1, ..., n-1 that works is taken: cycle `cut` times, which must
+    leave the pair adjacent with row i-1's companions before it and row i's
+    after it, then bring each companion next to the pair by commuting swaps,
+    so it must commute with every other row it passes.  The block is then
+    reversed and each row [lo, hi] replaced by [N-hi, N-lo] with N =
+    lo(row i-1) + hi(row i).  The result has an isomorphic weighted graph
+    and the same polynomial.
     """
     n = strip.n
     if i < 2 or i > n:
@@ -298,19 +224,35 @@ def local_rotate(strip: HorizontalStrip, i: int) -> HorizontalStrip:
     if strip.row(i).lo != strip.row(i - 1).hi + 1:
         raise PreconditionViolated("row i must start in the column after row i-1 ends")
     left_members, right_members = _classify_companions(strip, i)
+    members = left_members | right_members
     for cut in range(n):
-        arranged = _arrange_block(strip, i, cut, left_members, right_members)
-        if arranged is None:
+        # cycling `cut` times moves the first `cut` rows to the end, one lower
+        order = list(range(cut + 1, n + 1)) + list(range(1, cut + 1))
+        p = order.index(i - 1)
+        if order[p + 1 : p + 2] != [i]:
             continue
-        rows, p = arranged
-        x = p - len(left_members)
-        y = p + 1 + len(right_members)
+        if any(order.index(t) > p for t in left_members):
+            continue
+        if any(order.index(t) < p for t in right_members):
+            continue
+        rows = strip.rows[cut:] + tuple(r.shifted(-1) for r in strip.rows[:cut])
+        companions = [q for q, t in enumerate(order) if t in members]
+        others = [q for q, t in enumerate(order) if t not in members and q not in (p, p + 1)]
+        # a companion's swaps pass exactly the other rows between it and the pair
+        if any(
+            min(c, p) < o < max(c, p) and not commutes(rows[c], rows[o])
+            for c in companions
+            for o in others
+        ):
+            continue
+        # the block in order: row i-1's companions, the pair, row i's companions
+        block = [rows[q] for q in sorted(companions + [p, p + 1])]
         pivot = rows[p].lo + rows[p + 1].hi
-        out = list(rows)
-        for t in range(x, y + 1):
-            source = rows[x + y - t]
-            out[t] = Row(pivot - source.hi, pivot - source.lo)
-        return HorizontalStrip(tuple(out))
+        return HorizontalStrip(
+            tuple(rows[o] for o in others if o < p)
+            + tuple(Row(pivot - r.hi, pivot - r.lo) for r in reversed(block))
+            + tuple(rows[o] for o in others if o > p)
+        )
     raise BlockNotSeparable("no cycling cut lets the companion rows commute into place")
 
 
@@ -444,14 +386,14 @@ def similarity_witness(
         chain.append(move)
     chain.reverse()
 
+    # replay from lam, with a translate to content 0 after the start and
+    # after each move that leaves it
     moves: list[Move] = []
     current = lam
-    if current.min_content != 0:
-        moves.append(("translate", -current.min_content))
-        current = translate(current, -current.min_content)
-    for move in chain:
-        moves.append(move)
-        current = apply_move(current, move)
+    for move in [None, *chain]:
+        if move is not None:
+            moves.append(move)
+            current = apply_move(current, move)
         if current.min_content != 0:
             moves.append(("translate", -current.min_content))
             current = translate(current, -current.min_content)

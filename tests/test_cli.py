@@ -393,6 +393,24 @@ def test_verify_golden_bytes(runner, name):
     assert result.output == (DATA / name).read_text()
 
 
+# witness outputs whose move chains each use local_rotate
+GOLDEN_WITNESS = {
+    "witness_local_rotate_1.json": ("1/0,2/1,4/2", "1/0,3/1,4/3"),
+    "witness_local_rotate_2.json": ("2/0,3/2,6/4", "1/0,4/2,6/4"),
+    "witness_local_rotate_3.json": ("1/0,6/4,5/3", "1/0,3/1,3/1"),
+    "witness_local_rotate_4.json": ("6/4,6/4,3/0", "2/0,2/0,5/2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WITNESS))
+def test_witness_golden_bytes(runner, name):
+    strip, other = GOLDEN_WITNESS[name]
+    result = invoke(runner, "analyze", "--strip", strip, "--other", other, "--report", "witness")
+    assert result.exit_code == 0
+    assert result.output == (DATA / name).read_text()
+    assert ["local_rotate"] in [move[:1] for move in body(result)["result"]["witness"]["moves"]]
+
+
 def _product_family(max_rows, max_len, max_offset):
     """The family as itertools.product lists it, filtered to strips with a
     row starting at 0."""

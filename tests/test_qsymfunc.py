@@ -86,6 +86,24 @@ def test_qpoly_arithmetic():
     assert QPoly({2: 1, 0: -1}).evaluate(3) == 8
 
 
+@pytest.mark.parametrize(
+    "poly, number",
+    [(QPoly.one(), 1), (QPoly(), 0), (QPoly.constant(Fraction(3, 2)), Fraction(3, 2))],
+    ids=["one", "zero", "fraction"],
+)
+def test_constant_qpoly_hashes_as_its_number(poly, number):
+    assert poly == number
+    assert hash(poly) == hash(number)
+    assert len({poly, number}) == 1
+
+
+def test_zero_expansions_of_different_degrees_hash_equal():
+    a, b = BasisExpansion("s", 2), BasisExpansion("s", 3)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_qpoly_division():
     num = QPoly({2: 1, 0: -1})
     assert num.divide(QPoly({1: 1, 0: 1})) == QPoly({1: 1, 0: -1})

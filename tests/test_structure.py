@@ -473,10 +473,10 @@ def test_search_builds_no_local_rotation_after_its_stopping_entry(monkeypatch):
 
 
 @st.composite
-def small_strips(draw):
-    """1-6 rows of 1-4 cells, every content in 0..8."""
+def small_strips(draw, max_rows=6):
+    """1 to max_rows rows of 1-4 cells, every content in 0..8."""
     rows = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, max_rows))):
         lo = draw(st.integers(0, 8))
         size = draw(st.integers(1, min(4, 9 - lo)))
         rows.append(Row(lo, lo + size - 1))
@@ -536,6 +536,99 @@ def test_search_leaves_out_only_the_move_back(strip):
         else:
             kept = full
         assert list(structure._neighbours(nxt, move)) == kept, (strip.literal, move)
+
+
+# ---- local rotation against the public moves --------------------------------------
+
+def reference_companions(strip, i):
+    """The companions of rows i-1 and i, as two lists, by the five coverage
+    conditions of the rotation restated on m_ij and prec; HypothesisViolated
+    when one fails."""
+    outside = [t for t in range(1, strip.n + 1) if t not in (i - 1, i)]
+    overlaps = {t: (m_ij(strip, i - 1, t), m_ij(strip, i, t)) for t in outside}
+    zero = [t for t in outside if overlaps[t] == (0, 0)]
+    both = [t for t in outside if min(overlaps[t]) > 0]
+    left = [t for t in outside if overlaps[t][0] > 0 and overlaps[t][1] == 0]
+    right = [t for t in outside if overlaps[t][0] == 0 and overlaps[t][1] > 0]
+    for t in outside:
+        if t in both and not (prec(strip, i - 1, t) and prec(strip, i, t)):
+            raise HypothesisViolated(1, t)
+        if t in left and not prec(strip, t, i - 1):
+            raise HypothesisViolated(2, t)
+        if t in right and not prec(strip, t, i):
+            raise HypothesisViolated(3, t)
+        for condition, own, other in ((4, i - 1, i), (5, i, i - 1)):
+            if prec(strip, t, own) and (
+                m_ij(strip, other, t) != 0
+                or any(m_ij(strip, a, t) != 0 for a in zero if a != t)
+                or any(not prec(strip, t, b) for b in both if b != t)
+            ):
+                raise HypothesisViolated(condition, t)
+    return left, right
+
+
+def reference_local_rotate(strip, i):
+    """local_rotate rebuilt on the public moves: for the first cut that
+    works, cycle `cut` times, bring each companion of row i and then each
+    companion of row i-1 next to the pair by commute_swap, nearest first,
+    and reflect the block through lo(row i-1) + hi(row i)."""
+    n = strip.n
+    left, right = reference_companions(strip, i)
+    for cut in range(n):
+        current, labels = strip, list(range(1, n + 1))
+        for _ in range(cut):
+            current, labels = cycle(current), labels[1:] + labels[:1]
+        p = labels.index(i - 1)
+        if labels[p + 1 : p + 2] != [i]:
+            continue
+        if any(labels.index(t) > p for t in left) or any(labels.index(t) < p for t in right):
+            continue
+        try:
+            for target, t in enumerate(sorted(right, key=labels.index), p + 2):
+                for q in range(labels.index(t), target, -1):
+                    current = commute_swap(current, q)
+                    labels[q - 1], labels[q] = labels[q], labels[q - 1]
+            for target, t in zip(range(p - 1, -1, -1), sorted(left, key=labels.index, reverse=True)):
+                for q in range(labels.index(t), target):
+                    current = commute_swap(current, q + 1)
+                    labels[q], labels[q + 1] = labels[q + 1], labels[q]
+        except NonCommutingSwap:
+            continue
+        rows = current.rows
+        x, y = p - len(left), p + 2 + len(right)
+        pivot = rows[p].lo + rows[p + 1].hi
+        block = tuple(Row(pivot - r.hi, pivot - r.lo) for r in reversed(rows[x:y]))
+        return HorizontalStrip(rows[:x] + block + rows[y:])
+    raise BlockNotSeparable("no cut works")
+
+
+def assert_rotation_matches_reference(strip):
+    """local_rotate and reference_local_rotate agree at every i where row i
+    starts in the column after row i-1 ends: the same strip, or an error of
+    the same type."""
+    for i in range(2, strip.n + 1):
+        if strip.row(i).lo != strip.row(i - 1).hi + 1:
+            continue
+        outcomes = []
+        for rotation in (local_rotate, reference_local_rotate):
+            try:
+                outcomes.append(rotation(strip, i))
+            except (HypothesisViolated, BlockNotSeparable) as error:
+                outcomes.append(type(error))
+        assert outcomes[0] == outcomes[1], (strip.literal, i)
+
+
+def test_rotation_matches_the_public_moves_on_the_main_family(sweep_main):
+    for strip in sweep_main:
+        assert_rotation_matches_reference(strip)
+
+
+@settings(max_examples=400)
+@given(strip=small_strips(max_rows=7))
+@example(strip=parse_strip("6/4,6/4,3/0"))
+@example(strip=parse_strip("2/0,4/2,5/0"))
+def test_rotation_matches_the_public_moves(strip):
+    assert_rotation_matches_reference(strip)
 
 
 # ---- the search against a reference breadth-first search ---------------------------
