@@ -7,9 +7,11 @@ key/value lines and adds a trailing elapsed_ms line.  Exit codes:
 violation.
 """
 
+import functools
 import json
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -205,48 +207,49 @@ def _text_lines(value, prefix=""):
 
 
 def _emit_error(exc: Exception, code: int) -> None:
-    payload = {
-        "error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
-    }
-    click.echo(json.dumps(payload, separators=(",", ":")), err=True)
+    error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
+    click.echo(json.dumps({"error": error}, separators=(",", ":")), err=True)
     sys.exit(code)
 
 
-def _finish(command: str, inputs: dict, fmt: str, build) -> None:
-    started = time.perf_counter()
-    try:
-        result, violation = build()
-    except ParseError as exc:
-        _emit_error(exc, 2)
-    except PreconditionError as exc:
-        _emit_error(exc, 3)
-    except ValueError as exc:
-        _emit_error(exc, 2)
-    elapsed_ms = round((time.perf_counter() - started) * 1000)
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "version": __version__,
-    }
-    if fmt == "json":
-        click.echo(json.dumps(report, separators=(",", ":"), ensure_ascii=False))
-    else:
-        for line in _text_lines(result):
-            click.echo(line)
-        click.echo(f"elapsed_ms: {elapsed_ms}")
-    if violation:
-        sys.exit(1)
+def _reported(body):
+    """Make a body that takes its options by name and returns (result,
+    violation) into a subcommand with --format: time the body, map its
+    errors to exit codes 2 and 3, write the report and exit 1 on a
+    violation. The report's inputs are the other options under their
+    parameter names, in declaration order whatever the command line's."""
 
+    @functools.wraps(body)
+    def command(fmt, **options):
+        ctx = click.get_current_context()
+        started = time.perf_counter()
+        try:
+            result, violation = body(**options)
+        except PreconditionError as exc:
+            _emit_error(exc, 3)
+        except ValueError as exc:  # a ParseError among them
+            _emit_error(exc, 2)
+        elapsed_ms = round((time.perf_counter() - started) * 1000)
+        report = {
+            "command": ctx.command.name,
+            "inputs": {p.name: options[p.name] for p in ctx.command.params if p.name != "fmt"},
+            "result": result,
+            "version": __version__,
+        }
+        if fmt == "json":
+            click.echo(json.dumps(report, separators=(",", ":"), ensure_ascii=False))
+        else:
+            for line in _text_lines(result):
+                click.echo(line)
+            click.echo(f"elapsed_ms: {elapsed_ms}")
+        if violation:
+            sys.exit(1)
 
-FORMAT = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "text"]),
-    default="json",
-    show_default=True,
-    help="output format",
-)
+    fmt = click.Option(["--format", "fmt"], type=click.Choice(["json", "text"]),
+                       default="json", show_default=True, help="output format")
+    # click keeps options last-declared first, so --format is listed last
+    command.__click_params__ = [fmt, *body.__click_params__]
+    return command
 
 
 @click.group()
@@ -256,217 +259,143 @@ def main():
 
 
 @main.command("llt")
-@click.option("--strip", "strip_text", required=True, help="rows as a/b, bottom row first")
-@click.option("--vars", "k", type=int, default=None, help="variable count (default: row count)")
+@_reported
+@click.option("--strip", required=True, help="rows as a/b, bottom row first")
+@click.option("--vars", type=int, default=None, help="variable count (default: row count)")
 @click.option("--basis", type=click.Choice(["m", "s", "h", "e", "p"]), default=None)
-@FORMAT
-def cmd_llt(strip_text, k, basis, fmt):
+def cmd_llt(strip, vars, basis):
     """Polynomial of a strip, as raw monomials or against a basis."""
-
-    def build():
-        strip = parse_strip(strip_text)
-        f = llt_poly(strip, k)
-        if basis is None:
-            return symfunc_payload(f), False
-        return expansion_payload(to_basis(f, basis)), False
-
-    _finish("llt", {"strip": strip_text, "vars": k, "basis": basis}, fmt, build)
+    f = llt_poly(parse_strip(strip), vars)
+    if basis is None:
+        return symfunc_payload(f), False
+    return expansion_payload(to_basis(f, basis)), False
 
 
 @main.command("pi")
-@click.option("--strip", "strip_text", required=True, help="rows as a/b, bottom row first")
-@FORMAT
-def cmd_pi(strip_text, fmt):
+@_reported
+@click.option("--strip", required=True, help="rows as a/b, bottom row first")
+def cmd_pi(strip):
     """Weighted graph of a strip: row sizes and shifted-overlap edge weights."""
-
-    def build():
-        return pi_graph(parse_strip(strip_text)).to_json_dict(), False
-
-    _finish("pi", {"strip": strip_text}, fmt, build)
+    return pi_graph(parse_strip(strip)).to_json_dict(), False
 
 
 @main.command("iso")
-@click.option("--a", "a_text", required=True, help="graph JSON, file path or inline")
-@click.option("--b", "b_text", required=True, help="graph JSON, file path or inline")
-@FORMAT
-def cmd_iso(a_text, b_text, fmt):
+@_reported
+@click.option("--a", required=True, help="graph JSON, file path or inline")
+@click.option("--b", required=True, help="graph JSON, file path or inline")
+def cmd_iso(a, b):
     """Weight-respecting isomorphism between two graphs, if one exists."""
-
-    def build():
-        perm = is_isomorphic(_load_graph(a_text), _load_graph(b_text))
-        return {
-            "isomorphic": perm is not None,
-            "permutation": list(perm) if perm is not None else None,
-        }, False
-
-    _finish("iso", {"a": a_text, "b": b_text}, fmt, build)
+    perm = is_isomorphic(_load_graph(a), _load_graph(b))
+    listed = None if perm is None else list(perm)
+    return {"isomorphic": perm is not None, "permutation": listed}, False
 
 
 @main.command("chromatic")
-@click.option("--graph", "graph_text", default=None, help="weighted graph JSON, file or inline")
-@click.option("--strip", "strip_text", default=None, help="strip of single-cell rows")
-@click.option("--vars", "k", type=int, default=None, help="colour count (default: vertex count)")
-@FORMAT
-def cmd_chromatic(graph_text, strip_text, k, fmt):
+@_reported
+@click.option("--graph", default=None, help="weighted graph JSON, file or inline")
+@click.option("--strip", default=None, help="strip of single-cell rows")
+@click.option("--vars", type=int, default=None, help="colour count (default: vertex count)")
+def cmd_chromatic(graph, strip, vars):
     """Extended chromatic function of a weighted graph, or the ascent-weighted
     chromatic function of a strip's cell graph."""
-
-    def build():
-        if (graph_text is None) == (strip_text is None):
-            raise ParseError("give exactly one of --graph or --strip")
-        if graph_text is not None:
-            graph = _load_graph(graph_text)
-            f = extended_chromatic(graph, graph.n if k is None else k)
-            return symfunc_payload(f), False
-        cells = gamma_graph(parse_strip(strip_text))
-        return symfunc_payload(chrom_quasisym(cells, cells.n if k is None else k)), False
-
-    _finish(
-        "chromatic",
-        {"graph": graph_text, "strip": strip_text, "vars": k},
-        fmt,
-        build,
-    )
+    if (graph is None) == (strip is None):
+        raise ParseError("give exactly one of --graph or --strip")
+    if graph is not None:
+        weighted = _load_graph(graph)
+        f = extended_chromatic(weighted, weighted.n if vars is None else vars)
+        return symfunc_payload(f), False
+    cells = gamma_graph(parse_strip(strip))
+    return symfunc_payload(chrom_quasisym(cells, cells.n if vars is None else vars)), False
 
 
 @main.command("path-llt")
+@_reported
 @click.option("--alpha", required=True, help="composition, comma-separated")
 @click.option("--printed-sign", is_flag=True, default=False,
               help="use the (q-1)-power variant instead of the alternating one")
 @click.option("--check-oracle", is_flag=True, default=False,
               help="re-expand and compare against direct tableau enumeration")
-@FORMAT
-def cmd_path_llt(alpha, printed_sign, check_oracle, fmt):
+def cmd_path_llt(alpha, printed_sign, check_oracle):
     """Complete homogeneous expansion of a weighted path's polynomial."""
-
-    def build():
-        comp = comps.parse_composition(alpha)
-        exp = path_llt_h_expansion(comp, printed_sign=printed_sign)
-        result = {"h_expansion": expansion_payload(exp)}
-        violation = False
-        if check_oracle:
-            n = sum(comp)
-            matched = exp.evaluate(n) == llt_poly(strip_of_composition(comp), n)
-            result["oracle_match"] = matched
-            violation = not matched
-        return result, violation
-
-    _finish(
-        "path-llt",
-        {"alpha": alpha, "printed_sign": printed_sign, "check_oracle": check_oracle},
-        fmt,
-        build,
-    )
+    comp = comps.parse_composition(alpha)
+    exp = path_llt_h_expansion(comp, printed_sign=printed_sign)
+    result = {"h_expansion": expansion_payload(exp)}
+    if not check_oracle:
+        return result, False
+    n = sum(comp)
+    result["oracle_match"] = exp.evaluate(n) == llt_poly(strip_of_composition(comp), n)
+    return result, not result["oracle_match"]
 
 
 @main.command("compose")
+@_reported
 @click.option("--alpha", required=True, help="outer composition, comma-separated")
 @click.option("--beta", required=True, help="inner composition, comma-separated")
-@FORMAT
-def cmd_compose(alpha, beta, fmt):
+def cmd_compose(alpha, beta):
     """Substitute the second composition into the first."""
-
-    def build():
-        result = comps.compose(
-            comps.parse_composition(alpha), comps.parse_composition(beta)
-        )
-        return comps.format_composition(result), False
-
-    _finish("compose", {"alpha": alpha, "beta": beta}, fmt, build)
+    result = comps.compose(comps.parse_composition(alpha), comps.parse_composition(beta))
+    return comps.format_composition(result), False
 
 
 @main.command("analyze")
-@click.option("--strip", "strip_text", required=True, help="rows as a/b, bottom row first")
+@_reported
+@click.option("--strip", required=True, help="rows as a/b, bottom row first")
 @click.option("--report", default="strict,nesting,ncp", show_default=True,
               help="comma-separated subset of strict,nesting,ncp,witness")
-@click.option("--other", "other_text", default=None,
-              help="second strip, needed by the witness report")
+@click.option("--other", default=None, help="second strip, needed by the witness report")
 @click.option("--budget", type=int, default=100000, show_default=True,
               help="state budget for the witness search")
-@FORMAT
-def cmd_analyze(strip_text, report, other_text, budget, fmt):
+def cmd_analyze(strip, report, other, budget):
     """Structural reports: strict pairs and sequences, nesting, minimal
     noncommuting paths, and an optional move-sequence witness."""
-
-    def build():
-        strip = parse_strip(strip_text)
-        wanted = [w.strip() for w in report.split(",") if w.strip()]
-        known = {"strict", "nesting", "ncp", "witness"}
-        for w in wanted:
-            if w not in known:
-                raise ParseError(f"unknown report {w!r}")
-        result = {}
-        for w in wanted:
-            if w == "strict":
-                result["strict"] = {
-                    "pairs": [list(p) for p in strict_pairs(strip)],
-                    "sequences": [
-                        {"indices": list(idx), "witness": h}
-                        for idx, h in strict_sequences(strip)
-                    ],
-                }
-            elif w == "nesting":
-                result["nesting"] = is_nesting(strip)
-            elif w == "ncp":
-                paths = []
-                for i in range(1, strip.n + 1):
-                    for j in range(i + 1, strip.n + 1):
-                        found = find_minimal_ncp(strip, i, j)
-                        if found is not None:
-                            paths.append(
-                                {"endpoints": [i, j], "indices": list(found.indices)}
-                            )
-                result["ncp"] = paths
-            else:
-                if other_text is None:
-                    raise ParseError("the witness report needs --other")
-                moves = similarity_witness(strip, parse_strip(other_text), budget)
-                result["witness"] = {
-                    "found": moves is not None,
-                    "moves": [list(m) for m in moves] if moves is not None else None,
-                }
-        return result, False
-
-    _finish(
-        "analyze",
-        {"strip": strip_text, "report": report, "other": other_text, "budget": budget},
-        fmt,
-        build,
-    )
+    parsed = parse_strip(strip)
+    wanted = [w.strip() for w in report.split(",") if w.strip()]
+    for w in wanted:
+        if w not in ("strict", "nesting", "ncp", "witness"):
+            raise ParseError(f"unknown report {w!r}")
+    result = {}
+    for w in wanted:
+        if w == "strict":
+            result["strict"] = {
+                "pairs": [list(p) for p in strict_pairs(parsed)],
+                "sequences": [
+                    {"indices": list(idx), "witness": h}
+                    for idx, h in strict_sequences(parsed)
+                ],
+            }
+        elif w == "nesting":
+            result["nesting"] = is_nesting(parsed)
+        elif w == "ncp":
+            pairs = combinations(range(1, parsed.n + 1), 2)
+            found = [(ends, find_minimal_ncp(parsed, *ends)) for ends in pairs]
+            result["ncp"] = [{"endpoints": list(ends), "indices": list(path.indices)}
+                             for ends, path in found if path is not None]
+        else:
+            if other is None:
+                raise ParseError("the witness report needs --other")
+            moves = similarity_witness(parsed, parse_strip(other), budget)
+            listed = None if moves is None else [list(m) for m in moves]
+            result["witness"] = {"found": moves is not None, "moves": listed}
+    return result, False
 
 
 @main.command("verify")
+@_reported
 @click.option("--max-rows", type=int, default=3, show_default=True)
 @click.option("--max-len", type=int, default=3, show_default=True)
 @click.option("--max-offset", type=int, default=4, show_default=True)
 @click.option("--sample", type=int, default=None,
               help="check only this many strips, chosen by --seed")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--vars", "k", type=int, default=None,
-              help="variable count (default: max rows)")
-@FORMAT
-def cmd_verify(max_rows, max_len, max_offset, sample, seed, k, fmt):
+@click.option("--vars", type=int, default=None, help="variable count (default: max rows)")
+def cmd_verify(max_rows, max_len, max_offset, sample, seed, vars):
     """Sweep a strip family: bucket by graph isomorphism and demand equal
     polynomials inside every bucket.  Exits 1 on any mismatch."""
-
-    def build():
-        if max_rows < 1 or max_len < 1 or max_offset < 0:
-            raise ParseError("family bounds must be positive (offset may be 0)")
-        if sample is not None and sample < 1:
-            raise ParseError("--sample must be at least 1")
-        result = run_verify(max_rows, max_len, max_offset, sample=sample, seed=seed, k=k)
-        return result, bool(result["mismatches"])
-
-    _finish(
-        "verify",
-        {
-            "max_rows": max_rows,
-            "max_len": max_len,
-            "max_offset": max_offset,
-            "sample": sample,
-            "seed": seed,
-            "vars": k,
-        },
-        fmt,
-        build,
-    )
+    if max_rows < 1 or max_len < 1 or max_offset < 0:
+        raise ParseError("family bounds must be positive (offset may be 0)")
+    if sample is not None and sample < 1:
+        raise ParseError("--sample must be at least 1")
+    if vars is not None and vars < 1:
+        raise ValueError("need at least one variable")
+    result = run_verify(max_rows, max_len, max_offset, sample=sample, seed=seed, k=vars)
+    return result, bool(result["mismatches"])

@@ -401,14 +401,21 @@ def _check_partition(lam) -> tuple[int, ...]:
 
 
 def _distinct_permutations(items: tuple[int, ...]):
-    """All distinct rearrangements, without generating duplicates."""
-    if not items:
-        yield ()
-    for v in sorted(set(items)):
-        rest = list(items)
-        rest.remove(v)
-        for tail in _distinct_permutations(tuple(rest)):
-            yield (v,) + tail
+    """All distinct rearrangements, each once, in increasing lexicographic
+    order; stepping to the next permutation needs no recursion."""
+    perm = sorted(items)
+    while True:
+        yield tuple(perm)
+        j = len(perm) - 2  # the last ascent, then the last entry above perm[j]
+        while j >= 0 and perm[j] >= perm[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        t = len(perm) - 1
+        while perm[t] <= perm[j]:
+            t -= 1
+        perm[j], perm[t] = perm[t], perm[j]
+        perm[j + 1 :] = perm[:j:-1]
 
 
 def _pad(lam: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -212,11 +212,21 @@ def local_rotate(strip: HorizontalStrip, i: int) -> HorizontalStrip:
     companion of one row of the pair meets it but not the other.  The first
     cut = 0, 1, ..., n-1 that works is taken: cycle `cut` times, which must
     leave the pair adjacent with row i-1's companions before it and row i's
-    after it, then bring each companion next to the pair by commuting swaps,
-    so it must commute with every other row it passes.  The block is then
-    reversed and each row [lo, hi] replaced by [N-hi, N-lo] with N =
-    lo(row i-1) + hi(row i).  The result has an isomorphic weighted graph
-    and the same polynomial.
+    after it, then bring each companion next to the pair by commuting swaps.
+    The block is then reversed and each row [lo, hi] replaced by [N-hi, N-lo]
+    with N = lo(row i-1) + hi(row i).  The result has an isomorphic weighted
+    graph and the same polynomial.
+
+    The swaps always commute.  Cycling keeps every m_ij, so read m in the
+    cycled order, with the pair at A = [a, b] and B = [b+1, e].  Rows r, s
+    with r.lo < s.lo fail to commute just when s.lo - 1 <= r.hi < s.hi.
+    By conditions 2 and 3 a companion c lies in A if it comes before the
+    pair and in B if after.  A row o that c passes is no companion, and
+    it meets neither row of the pair: meeting both, it would be [b+1, b+1]
+    before the pair and [b, b] after it (condition 1), which cannot hold c
+    as condition 4 or 5 demands.  So in columns o lies past the pair's far
+    row, or on c's own side, where m = 0 between o and c (conditions 4 and
+    5) leaves a free column between them.  Either way o and c commute.
     """
     n = strip.n
     if i < 2 or i > n:
@@ -238,13 +248,6 @@ def local_rotate(strip: HorizontalStrip, i: int) -> HorizontalStrip:
         rows = strip.rows[cut:] + tuple(r.shifted(-1) for r in strip.rows[:cut])
         companions = [q for q, t in enumerate(order) if t in members]
         others = [q for q, t in enumerate(order) if t not in members and q not in (p, p + 1)]
-        # a companion's swaps pass exactly the other rows between it and the pair
-        if any(
-            min(c, p) < o < max(c, p) and not commutes(rows[c], rows[o])
-            for c in companions
-            for o in others
-        ):
-            continue
         # the block in order: row i-1's companions, the pair, row i's companions
         block = [rows[q] for q in sorted(companions + [p, p + 1])]
         pivot = rows[p].lo + rows[p + 1].hi

@@ -334,6 +334,31 @@ def test_verify_rejects_a_sample_below_one(runner):
     assert body(whole)["result"]["strips"] == 22
 
 
+@pytest.mark.parametrize("nvars", ["0", "-2"])
+def test_verify_refuses_no_variables_before_sweeping(runner, monkeypatch, nvars):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("swept a family it cannot check")
+
+    monkeypatch.setattr(cli, "sweep_family", unreachable)
+    result = invoke(runner, "verify", "--max-rows", "4", "--max-len", "3",
+                    "--max-offset", "4", "--vars", nvars)
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"] == {
+        "type": "ValueError", "message": "need at least one variable", "exit_code": 2
+    }
+
+
+@pytest.mark.parametrize("command", ["llt", "chromatic"])
+def test_many_variables_list_every_monomial(runner, command):
+    """One cell in 1,500 variables: x_1 + ... + x_1500, with no deep
+    recursion on the way to the report."""
+    result = invoke(runner, command, "--strip", "1/0", "--vars", "1500")
+    assert result.exit_code == 0
+    monomials = body(result)["result"]["monomials"]
+    assert len(monomials) == 1500
+    assert set(monomials.values()) == {"1"}
+
+
 @pytest.mark.parametrize("sample", [0, -3])
 def test_run_verify_rejects_a_sample_below_one(sample):
     with pytest.raises(ValueError, match="sample must be at least 1"):
@@ -409,6 +434,31 @@ def test_witness_golden_bytes(runner, name):
     assert result.exit_code == 0
     assert result.output == (DATA / name).read_text()
     assert ["local_rotate"] in [move[:1] for move in body(result)["result"]["witness"]["moves"]]
+
+
+GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_cli_golden(name):
+    """stdout, stderr and exit code of each case in cli_goldens.json, as the
+    console script prints them at 80 columns; a text report's trailing
+    elapsed_ms line is left out."""
+    case = GOLDENS[name]
+    result = CliRunner().invoke(main, case["args"], prog_name="lltgraphs", terminal_width=80)
+    lines = result.stdout.splitlines(keepends=True)
+    if lines and lines[-1].startswith("elapsed_ms: "):
+        lines.pop()
+    assert ("".join(lines), result.stderr, result.exit_code) == (
+        case["stdout"], case["stderr"], case["exit_code"]
+    )
+
+
+def test_cli_goldens_cover_every_subcommand():
+    wanted = {"json", "reordered", "text", "help"}
+    for command in main.commands:
+        kinds = {name[len(command) + 1:] for name in GOLDENS if name.startswith(command + "-")}
+        assert wanted <= kinds, command
 
 
 def _product_family(max_rows, max_len, max_offset):

@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -149,6 +150,21 @@ def test_expansion_json_rejects_what_it_would_truncate(degree, part):
 def test_symfunc_rejects_what_it_would_truncate(k, degree, lam):
     with pytest.raises(TypeError):
         SymFunc(k, degree, [(lam, QPoly.constant(1))])
+
+
+@given(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=5), max_size=3),
+       st.integers(0, 2))
+def test_terms_list_each_rearrangement_once(partitions, extra):
+    """terms() spreads every stored partition over its distinct
+    rearrangements, as itertools.permutations lists them once deduplicated."""
+    k = max(map(len, partitions), default=1) + extra
+    by_degree = {}
+    for parts in partitions:
+        by_degree.setdefault(sum(parts), set()).add(tuple(sorted(parts, reverse=True)))
+    for degree, lams in by_degree.items():
+        f = SymFunc(k, degree, [(lam, QPoly.constant(1)) for lam in lams])
+        spread = {e for lam in lams for e in permutations(lam + (0,) * (k - len(lam)))}
+        assert [e for e, _ in f.terms()] == sorted(spread, reverse=True)
 
 
 @pytest.mark.parametrize("lam", [(2.0, 1), (2, True)], ids=["float-part", "bool-part"])
