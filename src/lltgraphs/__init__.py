@@ -20,7 +20,6 @@ from .strips import (
     commutes,
     cycle,
     dc_triple,
-    format_strip,
     m_ij,
     parse_strip,
     prec,
@@ -46,7 +45,6 @@ from .chromatic import (
     verify_plethysm_bridge,
 )
 from .structure import (
-    NoncommutingPath,
     apply_move,
     find_minimal_ncp,
     is_nesting,
@@ -61,7 +59,6 @@ __all__ = [
     "__version__",
     "BasisExpansion",
     "HorizontalStrip",
-    "NoncommutingPath",
     "QPoly",
     "Row",
     "SymFunc",
@@ -80,7 +77,6 @@ __all__ = [
     "extended_chromatic",
     "find_minimal_ncp",
     "format_composition",
-    "format_strip",
     "gamma_graph",
     "is_isomorphic",
     "is_nesting",

@@ -20,10 +20,10 @@ import click
 from . import __version__
 from . import compositions as comps
 from .chromatic import chrom_quasisym, extended_chromatic, path_llt_h_expansion
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, PreconditionViolated
 from .llt import llt_input, llt_of_input, llt_poly
 from .qsymfunc import BasisExpansion, SymFunc, to_basis
-from .strips import HorizontalStrip, Row, format_strip, parse_strip, strip_of_composition
+from .strips import HorizontalStrip, Row, parse_strip, strip_of_composition
 from .structure import (
     find_minimal_ncp,
     is_nesting,
@@ -62,7 +62,8 @@ def sweep_family(
     A sample smaller than the family keeps only the strips at the indices
     sorted(Random(seed).sample(range(size), sample)), each decoded from its
     index without listing the others; any larger sample takes the whole
-    family."""
+    family. A family of more than sys.maxsize strips cannot be sampled,
+    which raises PreconditionViolated."""
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
     choices = [
@@ -76,6 +77,9 @@ def sweep_family(
     size = sum(counts)
     if sample is None or sample >= size:
         picked = range(size)
+    elif size > sys.maxsize:
+        raise PreconditionViolated(f"cannot sample a family of {size} strips, "
+                                   f"more than {sys.maxsize}")
     else:
         picked = sorted(Random(seed).sample(range(size), sample))
 
@@ -141,7 +145,7 @@ def run_verify(
             if same is None:
                 same = agrees[engine_input] = llt_of_input(*engine_input, nvars) == base
             if not same:
-                mismatches.append([format_strip(members[0]), format_strip(other)])
+                mismatches.append([members[0].literal, other.literal])
     by_poly: dict[SymFunc, list[tuple]] = {}
     for key, poly in bucket_poly.items():
         by_poly.setdefault(poly, []).append(key)
@@ -151,10 +155,7 @@ def run_verify(
         if len(keys) > 1:
             converse += len(keys) * (len(keys) - 1) // 2
             if example is None:
-                example = [
-                    format_strip(bucket_rep[keys[0]]),
-                    format_strip(bucket_rep[keys[1]]),
-                ]
+                example = [bucket_rep[keys[0]].literal, bucket_rep[keys[1]].literal]
     return {
         "strips": len(strips),
         "buckets": len(buckets),
@@ -368,7 +369,7 @@ def cmd_analyze(strip, report, other, budget):
         elif w == "ncp":
             pairs = combinations(range(1, parsed.n + 1), 2)
             found = [(ends, find_minimal_ncp(parsed, *ends)) for ends in pairs]
-            result["ncp"] = [{"endpoints": list(ends), "indices": list(path.indices)}
+            result["ncp"] = [{"endpoints": list(ends), "indices": list(path)}
                              for ends, path in found if path is not None]
         else:
             if other is None:

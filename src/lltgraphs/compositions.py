@@ -91,11 +91,6 @@ def coarsenings(alpha: Composition) -> list[Composition]:
     return out
 
 
-def partition_of(alpha: Composition) -> tuple[int, ...]:
-    """The weakly decreasing rearrangement of the parts."""
-    return tuple(sorted(alpha, reverse=True))
-
-
 def coarsening_multiset(alpha: Composition) -> Counter:
     """Multiset of partitions of the coarsenings of alpha."""
-    return Counter(partition_of(beta) for beta in coarsenings(alpha))
+    return Counter(tuple(sorted(beta, reverse=True)) for beta in coarsenings(alpha))

@@ -25,7 +25,6 @@ from .errors import (
     InsufficientVariables,
     MismatchedVariableCount,
     NonIntegralCoefficient,
-    ParseError,
     PreconditionViolated,
 )
 
@@ -257,10 +256,6 @@ class SymFunc:
         f.degree = degree
         f._coords = {lam: QPoly._of_counts(c) for lam, c in counts.items() if c}
         return f
-
-    @classmethod
-    def zero(cls, k: int, degree: int) -> "SymFunc":
-        return cls(k, degree)
 
     @property
     def is_zero(self) -> bool:
@@ -617,37 +612,6 @@ class BasisExpansion:
         return " + ".join(bits)
 
     __repr__ = __str__
-
-    def to_json_dict(self) -> dict:
-        """Canonical JSON form: partitions in decreasing lexicographic
-        order, q-pairs [exponent, coefficient] in decreasing exponent
-        order, rational coefficients rendered as "a/b" strings."""
-        coeffs = []
-        for lam, c in self.items():
-            pairs = [
-                [e, cf if isinstance(cf, int) else str(cf)]
-                for e, cf in c.pairs()
-            ]
-            coeffs.append({"partition": list(lam), "q": pairs})
-        return {"basis": self.basis, "degree": self.degree, "coeffs": coeffs}
-
-    @classmethod
-    def from_json_dict(cls, obj) -> "BasisExpansion":
-        try:
-            basis = obj["basis"]
-            degree = obj["degree"]
-            coeffs = {}
-            for entry in obj["coeffs"]:
-                lam = tuple(entry["partition"])
-                pairs = []
-                for e, cf in entry["q"]:
-                    if isinstance(cf, str):
-                        cf = Fraction(cf)
-                    pairs.append((e, cf))
-                coeffs[lam] = QPoly(pairs)
-            return cls(basis, degree, coeffs)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad basis expansion JSON: {exc}") from None
 
 
 def to_basis(f: SymFunc, basis: str) -> BasisExpansion:

@@ -71,10 +71,6 @@ class HorizontalStrip:
         return tuple(r.size for r in self.rows)
 
     @property
-    def cell_count(self) -> int:
-        return sum(r.size for r in self.rows)
-
-    @property
     def min_content(self) -> int:
         return min(r.lo for r in self.rows)
 
@@ -118,10 +114,6 @@ def parse_strip(text: str) -> HorizontalStrip:
     if not pieces or any(not p.strip() for p in pieces):
         raise ParseError(f"bad strip literal {text!r}")
     return HorizontalStrip(tuple(parse_row(p) for p in pieces))
-
-
-def format_strip(strip: HorizontalStrip) -> str:
-    return strip.literal
 
 
 def _overlap(r: Row, s: Row) -> int:

@@ -14,7 +14,6 @@ changes neither the order in which states are found nor their number.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
@@ -43,28 +42,11 @@ Move = tuple
 State = tuple  # rows as one flat (lo1, hi1, lo2, hi2, ...) tuple, minimum content 0
 
 
-@dataclass(frozen=True)
-class NoncommutingPath:
-    """Strictly increasing row indices, consecutive rows pairwise noncommuting."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.indices) < 3:
-            raise ValueError("a noncommuting path needs at least three rows")
-        if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("path indices must be strictly increasing")
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return self.indices[0], self.indices[-1]
-
-
-def find_minimal_ncp(strip: HorizontalStrip, i: int, j: int) -> Optional[NoncommutingPath]:
-    """Shortest increasing noncommuting chain of >= 3 rows from row i to row j,
-    by a breadth-first search that skips the direct step; None when no such
-    chain exists. A shortest chain is minimal: a shorter subsequence with
-    the same ends would be a shorter chain."""
+def find_minimal_ncp(strip: HorizontalStrip, i: int, j: int) -> Optional[tuple[int, ...]]:
+    """Row indices of a shortest increasing noncommuting chain of >= 3 rows
+    from row i to row j, by a breadth-first search that skips the direct
+    step; None when no such chain exists. A shortest chain is minimal: a
+    shorter subsequence with the same ends would be a shorter chain."""
     strip.row(i)
     strip.row(j)
     if i >= j:
@@ -91,7 +73,7 @@ def find_minimal_ncp(strip: HorizontalStrip, i: int, j: int) -> Optional[Noncomm
     while parent[chain[-1]] is not None:
         chain.append(parent[chain[-1]])
     chain.reverse()
-    return NoncommutingPath(tuple(chain))
+    return tuple(chain)
 
 
 def _overfills(strip: HorizontalStrip, i: int, j: int) -> bool:

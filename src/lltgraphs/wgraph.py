@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     PreconditionViolated,
 )
-from .llt import llt_poly
+from .llt import llt_input, llt_poly
 from .qsymfunc import SymFunc, _check_int
 from .strips import HorizontalStrip, Row, m_pair
 
@@ -135,23 +135,16 @@ def pi_graph(strip: HorizontalStrip) -> WeightedGraph:
 def gamma_graph(strip: HorizontalStrip) -> WeightedGraph:
     """Cell graph of a unicellular strip, every vertex and edge of weight
     1: cells in decreasing content order (ties broken by higher strip row
-    first), joined wherever two cells could invert. The vertex order is
-    the labelling chrom_quasisym counts ascents along."""
+    first), joined by the pairs that llt_input's inversion masks hold, the
+    cell pairs that could invert. The vertex order is the labelling
+    chrom_quasisym counts ascents along."""
     if not strip.is_unicellular:
         raise NotUnicellular(f"{strip.literal} has a row with more than one cell")
-    cells = sorted(
-        ((r.lo, i + 1) for i, r in enumerate(strip.rows)),
-        key=lambda cr: (-cr[0], -cr[1]),
-    )
-    edges = []
-    n = len(cells)
-    for a in range(n):
-        ca, ra = cells[a]
-        for b in range(a + 1, n):
-            cb, rb = cells[b]
-            if ca == cb or ca == cb + 1 and ra < rb:
-                edges.append((a + 1, b + 1, 1))
-    return WeightedGraph.from_edges((1,) * n, edges)
+    out = llt_input(strip)[1]
+    order = sorted(range(strip.n), key=lambda i: (-strip.rows[i].lo, -i))
+    edges = [(a, b, 1) for a, c in enumerate(order, 1) for b, d in enumerate(order, 1)
+             if out[c] >> d & 1]
+    return WeightedGraph.from_edges((1,) * strip.n, edges)
 
 
 def is_isomorphic(g: WeightedGraph, h: WeightedGraph):
@@ -285,51 +278,26 @@ def predict_dc_graphs(g: WeightedGraph, i: int, j: int, mij: int):
         raise PreconditionViolated(
             f"stated edge weight {mij} does not match edge({lo},{hi}) = {m}"
         )
-    wl, wh = g.weights[lo - 1], g.weights[hi - 1]
+    a, b = lo - 1, hi - 1
+    wl, wh = g.weights[a], g.weights[b]
     if m >= min(wl, wh):
         raise PreconditionViolated(
             f"edge weight {m} must be below both vertex weights ({wl}, {wh})"
         )
-    raised = [list(row) for row in g.matrix]
-    raised[lo - 1][hi - 1] += 1
-    raised[hi - 1][lo - 1] += 1
-    g1 = WeightedGraph(g.weights, tuple(tuple(r) for r in raised))
-
-    union_w = wl + wh - m
-    keep = [t for t in range(g.n) if t not in (lo - 1, hi - 1)]
-    weights2 = []
-    for t in range(g.n):
-        if t == lo - 1:
-            weights2.append(union_w)
-        elif t == hi - 1:
-            weights2.append(m)
-        else:
-            weights2.append(g.weights[t])
-    n2 = g.n
-    matrix2 = [[0] * n2 for _ in range(n2)]
-    for a in range(n2):
-        for b in range(n2):
-            if a in (lo - 1, hi - 1) or b in (lo - 1, hi - 1):
-                continue
-            matrix2[a][b] = g.matrix[a][b]
-    for t in keep:
-        m1 = g.matrix[lo - 1][t]
-        m2 = g.matrix[hi - 1][t]
-        r = g.weights[t]
-        cup = min(r, max(m1, m2, m1 + m2 - m))
-        cap = min(m, m1, m2)
-        matrix2[lo - 1][t] = matrix2[t][lo - 1] = cup
-        matrix2[hi - 1][t] = matrix2[t][hi - 1] = cap
-    matrix2[lo - 1][hi - 1] = matrix2[hi - 1][lo - 1] = m
-    if m == 0:
-        drop = hi - 1
-        weights2 = [w for t, w in enumerate(weights2) if t != drop]
-        matrix2 = [
-            [v for b, v in enumerate(row) if b != drop]
-            for a, row in enumerate(matrix2)
-            if a != drop
-        ]
-    g2 = WeightedGraph(tuple(weights2), tuple(tuple(r) for r in matrix2))
+    matrix = [list(row) for row in g.matrix]
+    matrix[a][b] = matrix[b][a] = m + 1
+    g1 = WeightedGraph(g.weights, tuple(map(tuple, matrix)))
+    weights = list(g.weights)
+    weights[a], weights[b] = wl + wh - m, m
+    matrix[a][b] = matrix[b][a] = m
+    for t, r in enumerate(g.weights):
+        if t != a and t != b:
+            m1, m2 = g.matrix[a][t], g.matrix[b][t]
+            matrix[a][t] = matrix[t][a] = min(r, max(m1, m2, m1 + m2 - m))
+            matrix[b][t] = matrix[t][b] = min(m, m1, m2)
+    keep = [t for t in range(g.n) if m or t != b]
+    g2 = WeightedGraph(tuple(weights[t] for t in keep),
+                       tuple(tuple(matrix[s][t] for t in keep) for s in keep))
     return g1, g2
 
 

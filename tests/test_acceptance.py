@@ -82,9 +82,9 @@ def test_criterion_01_schur_expansion_of_running_example(criterion_log):
     start = time.monotonic()
     exp = to_basis(llt_poly(parse_strip(RUNNING_STRIP), 4), "s")
     elapsed = time.monotonic() - start
-    golden = BasisExpansion.from_json_dict(
-        json.loads((DATA / "schur_display.json").read_text())
-    )
+    stored = json.loads((DATA / "schur_display.json").read_text())
+    golden = BasisExpansion(stored["basis"], stored["degree"], {
+        tuple(c["partition"]): QPoly(map(tuple, c["q"])) for c in stored["coeffs"]})
     problems = []
     if exp != golden:
         problems.append("expansion differs from golden file")

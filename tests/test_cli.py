@@ -14,7 +14,8 @@ from hypothesis import given, strategies as st
 from lltgraphs import QPoly, canonical_form, llt_poly, pi_graph
 from lltgraphs import cli, llt
 from lltgraphs.cli import main, partition_key, run_verify, sweep_family
-from lltgraphs.strips import HorizontalStrip, Row, format_strip
+from lltgraphs.errors import PreconditionViolated
+from lltgraphs.strips import HorizontalStrip, Row
 
 DATA = Path(__file__).parent / "data"
 
@@ -348,6 +349,22 @@ def test_verify_refuses_no_variables_before_sweeping(runner, monkeypatch, nvars)
     }
 
 
+def test_verify_refuses_to_sample_a_family_past_sys_maxsize(runner):
+    """A family of 2**(r+1) - r - 2 strips (rows up to r, one cell, offsets
+    0..1) is sampled at r = 62, the last size up to sys.maxsize; the full
+    20/3/4 family is refused with the one-line JSON error."""
+    assert 2**63 - 64 <= sys.maxsize < 2**64 - 65
+    assert len(sweep_family(62, 1, 1, sample=3, seed=5)) == 3
+    with pytest.raises(PreconditionViolated, match=f"of {2**64 - 65} strips"):
+        sweep_family(63, 1, 1, sample=3, seed=5)
+    result = invoke(runner, "verify", "--max-rows", "20", "--max-len", "3",
+                    "--max-offset", "4", "--sample", "3")
+    assert result.exit_code == 3
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "PreconditionViolated"
+    assert "a family of 352095223166123790139140 strips" in error["message"]
+
+
 @pytest.mark.parametrize("command", ["llt", "chromatic"])
 def test_many_variables_list_every_monomial(runner, command):
     """One cell in 1,500 variables: x_1 + ... + x_1500, with no deep
@@ -498,7 +515,7 @@ def _verify_without_memos(max_rows, max_len, max_offset, sample, seed, k):
     for strip in sweep_family(max_rows, max_len, max_offset, sample, seed):
         form = canonical_form(pi_graph(strip))
         buckets.setdefault(form, []).append((strip, llt_poly(strip, nvars)))
-    mismatches = [[format_strip(members[0][0]), format_strip(strip)]
+    mismatches = [[members[0][0].literal, strip.literal]
                   for members in buckets.values()
                   for strip, poly in members[1:] if poly != members[0][1]]
     by_poly = {}
@@ -510,7 +527,7 @@ def _verify_without_memos(max_rows, max_len, max_offset, sample, seed, k):
         "mismatches": mismatches,
         "converse_failures": sum(len(v) * (len(v) - 1) // 2 for v in by_poly.values()),
         "converse_example": next(
-            ([format_strip(v[0]), format_strip(v[1])] for v in by_poly.values() if len(v) > 1),
+            ([v[0].literal, v[1].literal] for v in by_poly.values() if len(v) > 1),
             None),
     }
 

@@ -8,7 +8,7 @@ from lltgraphs import (
     near_concat,
     parse_composition,
 )
-from lltgraphs.compositions import as_composition, near_concat_power, partition_of
+from lltgraphs.compositions import as_composition, near_concat_power
 from lltgraphs.errors import ParseError
 
 from oracle import coarsenings_rec
@@ -92,7 +92,3 @@ def test_multiset_invariant_under_reversal():
 def test_compositions_of_counts():
     for n in range(1, 9):
         assert len(coarsenings((1,) * n)) == 2 ** (n - 1)
-
-
-def test_partition_of_sorts():
-    assert partition_of((1, 3, 2, 3)) == (3, 3, 2, 1)

@@ -16,7 +16,7 @@ from lltgraphs import (
     pi_graph,
     to_basis,
 )
-from lltgraphs.errors import NotUnicellular, PreconditionViolated
+from lltgraphs.errors import MismatchedVariableCount, NotUnicellular, PreconditionViolated
 from lltgraphs.llt import llt_input, llt_of_input
 from lltgraphs.qsymfunc import SymFunc
 from lltgraphs.strips import HorizontalStrip, Row
@@ -128,6 +128,12 @@ def test_llt_poly_defaults_to_row_count():
     assert llt_poly(strip) == llt_poly(strip, 2)
 
 
+def test_polynomials_in_different_variable_counts_do_not_add():
+    strip = parse_strip("2/0,2/1")
+    with pytest.raises(MismatchedVariableCount, match="in 2 and 3 variables"):
+        llt_poly(strip, 2) + llt_poly(strip, 3)
+
+
 def test_llt_poly_is_symmetric():
     strip = parse_strip("3/0,3/2,4/1")
     rows = [(r.lo, r.hi) for r in strip.rows]
@@ -141,7 +147,7 @@ def test_top_degree_is_total_edge_weight(sweep_main, sweep_main_polys):
 
 def test_top_degree_of_zero_polynomial_raises():
     with pytest.raises(ValueError):
-        top_q_degree(SymFunc.zero(2, 3))
+        top_q_degree(SymFunc(2, 3))
 
 
 @st.composite

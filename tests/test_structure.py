@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lltgraphs import (
-    NoncommutingPath,
     apply_move,
     canonical_form,
     find_minimal_ncp,
@@ -52,21 +51,12 @@ def strip_of(pairs):
 
 # ---- noncommuting paths ------------------------------------------------------
 
-def test_path_type_validates_indices():
-    p = NoncommutingPath((1, 3, 5))
-    assert p.endpoints == (1, 5)
-    with pytest.raises(ValueError):
-        NoncommutingPath((1, 2))
-    with pytest.raises(ValueError):
-        NoncommutingPath((1, 3, 3))
-
-
 def test_five_row_chain_is_minimal():
     strip = parse_strip("6/0,7/5,6/3,4/1,8/3")
     p = find_minimal_ncp(strip, 1, 5)
-    assert p == NoncommutingPath((1, 2, 3, 4, 5))
-    assert is_minimal_ncp(strip, p.indices)
-    assert is_noncommuting_path(strip, p.indices)
+    assert p == (1, 2, 3, 4, 5)
+    assert is_minimal_ncp(strip, p)
+    assert is_noncommuting_path(strip, p)
     # no interior subset survives
     assert not is_noncommuting_path(strip, (1, 2, 5))
     assert not is_noncommuting_path(strip, (1, 4, 5))
@@ -90,8 +80,8 @@ def test_shortest_chain_beats_longer_detour():
     strip = strip_of([(0, 1), (2, 3), (5, 6), (3, 4)])
     p = find_minimal_ncp(strip, 1, 4)
     assert p is not None
-    assert p.endpoints == (1, 4)
-    assert is_minimal_ncp(strip, p.indices)
+    assert (p[0], p[-1]) == (1, 4)
+    assert is_minimal_ncp(strip, p)
 
 
 # ---- strict pairs ------------------------------------------------------------
@@ -244,8 +234,8 @@ def test_nested_minimal_path_runs_head_to_tail():
     # rows 1 and 5 commute with zero overlap; any minimal path between
     # them must chain end to end
     p = find_minimal_ncp(strip, 1, 5)
-    assert p == NoncommutingPath((1, 4, 5))
-    for a, b in zip(p.indices, p.indices[1:]):
+    assert p == (1, 4, 5)
+    for a, b in zip(p, p[1:]):
         assert strip.rows[b - 1].lo == strip.rows[a - 1].hi + 1
 
 
@@ -506,8 +496,8 @@ def test_find_minimal_ncp_is_a_shortest_chain(strip):
         if want is None:
             assert p is None, (strip.literal, i, j)
             continue
-        assert p.endpoints == (i, j) and len(p.indices) == want, (strip.literal, i, j)
-        assert is_minimal_ncp(strip, p.indices)
+        assert (p[0], p[-1]) == (i, j) and len(p) == want, (strip.literal, i, j)
+        assert is_minimal_ncp(strip, p)
 
 
 @settings(max_examples=400)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -190,6 +191,24 @@ def test_gamma_graph_is_a_unit_weight_graph():
     assert isinstance(g, WeightedGraph)
     assert g.weights == (1, 1)
     assert g.edge_list() == [(1, 2, 1)]
+
+
+def reference_gamma_graph(strip):
+    """The cell pairs that can invert, stated on contents: cells in
+    decreasing content order, later row first within one content, joined
+    when they share a content or the earlier row's is one higher."""
+    cells = sorted(((r.lo, i) for i, r in enumerate(strip.rows)), reverse=True)
+    edges = [(a + 1, b + 1, 1)
+             for a, (ca, ra) in enumerate(cells) for b, (cb, rb) in enumerate(cells)
+             if a < b and (ca == cb or ca == cb + 1 and ra < rb)]
+    return WeightedGraph.from_edges((1,) * len(cells), edges)
+
+
+def test_gamma_graph_matches_the_content_rule_on_every_small_strip():
+    strips = [HorizontalStrip(tuple(Row(c, c) for c in contents))
+              for n in range(1, 7) for contents in itertools.product(range(4), repeat=n)]
+    assert len(strips) == 5460
+    assert [s for s in strips if gamma_graph(s) != reference_gamma_graph(s)] == []
 
 
 @st.composite
