@@ -21,7 +21,7 @@ from . import __version__
 from . import compositions as comps
 from .chromatic import chrom_quasisym, extended_chromatic, path_llt_h_expansion
 from .errors import ParseError, PreconditionError, PreconditionViolated
-from .llt import llt_input, llt_of_input, llt_poly
+from .llt import llt_input, llt_of_input, llt_poly, row_components
 from .qsymfunc import BasisExpansion, SymFunc, to_basis
 from .strips import HorizontalStrip, Row, parse_strip, strip_of_composition
 from .structure import (
@@ -116,36 +116,65 @@ def run_verify(
     non-isomorphic graphs (failures of the converse direction). A sample
     of at least the family size takes the whole family.
 
-    Strips with one labelled graph share one canonical form. The engine
-    llt_of_input is a pure function of llt_input's pair, so strips of a
-    bucket with equal pairs share one run; that memo keeps only whether
-    the run agreed with the bucket, and only while the bucket is checked."""
+    Strips with one labelled graph share one canonical form and one split
+    of their rows into row_components. The engine llt_of_input is a pure
+    function of llt_input's pair, and isomorphic graphs have isomorphic
+    components, so a bucket is connected or split throughout. In a
+    connected bucket, strips with equal pairs share one run. In a split
+    one, a strip is keyed by the sorted pairs of its components: a key
+    equal to the first strip's agrees, another agrees when its component
+    polynomials, run once per sweep, are the first strip's as a multiset,
+    and only otherwise is the whole strip run and compared. Each bucket's
+    first strip is run whole, since the converse count needs its
+    polynomial; a key's verdict is kept only while its bucket is checked."""
     strips = sweep_family(max_rows, max_len, max_offset, sample, seed)
     nvars = k if k is not None else max_rows
     forms: dict[WeightedGraph, tuple] = {}  # freed once the strips are bucketed
-    buckets: dict[tuple, list[HorizontalStrip]] = {}
+    buckets: dict[tuple, list[tuple]] = {}  # canonical form -> [(strip, its split)]
+    splits: dict[tuple, tuple] = {}  # one copy of each split, which outlives forms
     for strip in strips:
         graph = pi_graph(strip)
-        form = forms.get(graph)
-        if form is None:
-            form = forms[graph] = canonical_form(graph)
-        buckets.setdefault(form, []).append(strip)
+        known = forms.get(graph)
+        if known is None:
+            groups = row_components(graph.matrix)
+            known = forms[graph] = canonical_form(graph), splits.setdefault(groups, groups)
+        buckets.setdefault(known[0], []).append((strip, known[1]))
     del forms
+    part_ids: dict[tuple, int] = {}  # a split's component pair -> id of its polynomial
+    poly_ids: dict[SymFunc, int] = {}
+
+    def engine_key(strip, groups) -> tuple:
+        if len(groups) == 1:
+            return llt_input(strip)
+        return tuple(sorted(llt_input(HorizontalStrip(tuple(strip.rows[i] for i in g)))
+                            for g in groups))
+
+    def part_polys(key) -> list[int]:
+        for pair in key:
+            if pair not in part_ids:
+                part_ids[pair] = poly_ids.setdefault(llt_of_input(*pair, nvars), len(poly_ids))
+        return sorted(part_ids[pair] for pair in key)
+
     mismatches = []
     bucket_poly = {}
     bucket_rep = {}
     for key, members in buckets.items():
-        first = llt_input(members[0])
-        base = bucket_poly[key] = llt_of_input(*first, nvars)
-        bucket_rep[key] = members[0]
-        agrees = {first: True}  # engine input -> its polynomial equals base
-        for other in members[1:]:
-            engine_input = llt_input(other)
-            same = agrees.get(engine_input)
+        first, groups = members[0]
+        split = len(groups) > 1
+        first_key = engine_key(first, groups)
+        base = bucket_poly[key] = llt_of_input(*(llt_input(first) if split else first_key), nvars)
+        bucket_rep[key] = first
+        agrees = {first_key: True}  # engine key -> its strips' polynomial equals base
+        for other, groups in members[1:]:
+            other_key = engine_key(other, groups)
+            same = agrees.get(other_key)
             if same is None:
-                same = agrees[engine_input] = llt_of_input(*engine_input, nvars) == base
+                same = split and part_polys(other_key) == part_polys(first_key)
+                if not same:
+                    same = llt_of_input(*llt_input(other), nvars) == base
+                agrees[other_key] = same
             if not same:
-                mismatches.append([members[0].literal, other.literal])
+                mismatches.append([first.literal, other.literal])
     by_poly: dict[SymFunc, list[tuple]] = {}
     for key, poly in bucket_poly.items():
         by_poly.setdefault(poly, []).append(key)

@@ -95,6 +95,33 @@ def llt_input(strip: HorizontalStrip) -> tuple[tuple[int, ...], tuple[int, ...]]
         for i, x in cells)
 
 
+def row_components(matrix) -> tuple[tuple[int, ...], ...]:
+    """The 0-based row indices of each connected component of the graph
+    whose edges are matrix's nonzero entries, in increasing order within
+    each component and between components by first row.
+
+    On a strip's pi_graph these components factor its polynomial. Rows
+    r before s have m_pair(r, s) = 0 exactly when no cell of one has a
+    bit of llt_input's masks at a cell of the other: a bit needs a
+    content in r and s, or one in r and one lower in s, and m_pair is
+    the overlap of r with s, or with s shifted up one when r starts to
+    the right, which is empty only when both of those are. Rows fill
+    independently and inversions stay inside a component, so the
+    strip's polynomial is the product of the polynomials of the strips
+    on each component's rows, kept in their order.
+    """
+    label = list(range(len(matrix)))
+    for i, row in enumerate(matrix):
+        for j in range(i):
+            if row[j] and label[j] != label[i]:
+                old = label[i]
+                label = [label[j] if x == old else x for x in label]
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
+    return tuple(map(tuple, groups.values()))
+
+
 def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int) -> SymFunc:
     """The polynomial in k variables of a strip with row sizes sizes and
     cell inversion masks out, as llt_input gives them.

@@ -99,10 +99,6 @@ class QPoly:
     def coeff(self, e: int):
         return self._coeffs.get(e, 0)
 
-    def pairs(self):
-        """(exponent, coefficient) pairs, decreasing exponent."""
-        return [(e, self._coeffs[e]) for e in sorted(self._coeffs, reverse=True)]
-
     def __bool__(self):
         return bool(self._coeffs)
 

@@ -75,10 +75,6 @@ class HorizontalStrip:
         return min(r.lo for r in self.rows)
 
     @property
-    def max_content(self) -> int:
-        return max(r.hi for r in self.rows)
-
-    @property
     def is_unicellular(self) -> bool:
         return all(r.size == 1 for r in self.rows)
 

@@ -72,6 +72,26 @@ def path_p_expansion(alpha) -> BasisExpansion:
     return _signed_coarsening_sum(alpha, "p")
 
 
+def q_coefficients(c: QPoly) -> dict:
+    """The nonzero coefficients of c by exponent, as stored."""
+    return {e: c.coeff(e) for e in range(c.degree + 1) if c.coeff(e)} if c else {}
+
+
+def mask_components(sizes, out) -> list[tuple[int, ...]]:
+    """The 0-based rows of an llt_input pair joined, directly or through
+    other rows, by a mask bit from a cell of one to a cell of the other,
+    each group sorted and the groups by first row."""
+    row_of = [i for i, size in enumerate(sizes) for _ in range(size)]
+    component = {i: {i} for i in range(len(sizes))}
+    for c, mask in enumerate(out):
+        for d in range(len(out)):
+            if mask >> d & 1:
+                joined = component[row_of[c]] | component[row_of[d]]
+                for i in joined:
+                    component[i] = joined
+    return sorted({tuple(sorted(rows)) for rows in component.values()})
+
+
 def is_noncommuting_path(strip: HorizontalStrip, indices: tuple[int, ...]) -> bool:
     """True when indices form an increasing chain of >= 3 rows, each
     consecutive pair noncommuting."""
@@ -93,6 +113,10 @@ def is_minimal_ncp(strip: HorizontalStrip, indices: tuple[int, ...]) -> bool:
 
 # ---- the concatenation calculus on strips ----------------------------------
 
+def _max_content(strip: HorizontalStrip) -> int:
+    return max(r.hi for r in strip.rows)
+
+
 def _cycle_until(strip: HorizontalStrip, good) -> HorizontalStrip:
     """The first cyclic shift of strip that good accepts."""
     s = strip
@@ -109,11 +133,11 @@ def _concat_blocks(lam: HorizontalStrip, mu: HorizontalStrip):
     """Normalized pieces for concatenation: lam cycled so its unique
     maximal cell leads, mu cycled so its unique minimal cell trails and
     translated to start at content 0, and the join height N."""
-    lam = _cycle_until(lam, lambda s: s.rows[0].hi == s.max_content
-                       and [r.hi for r in s.rows].count(s.max_content) == 1)
+    lam = _cycle_until(lam, lambda s: s.rows[0].hi == _max_content(s)
+                       and [r.hi for r in s.rows].count(_max_content(s)) == 1)
     mu = _cycle_until(mu, lambda s: s.rows[-1].lo == s.min_content
                       and [r.lo for r in s.rows].count(s.min_content) == 1)
-    return lam, translate(mu, -mu.min_content), lam.max_content + 1
+    return lam, translate(mu, -mu.min_content), _max_content(lam) + 1
 
 
 def strip_concat(lam: HorizontalStrip, mu: HorizontalStrip) -> HorizontalStrip:

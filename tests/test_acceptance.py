@@ -75,7 +75,7 @@ def path_polys():
 
 
 def q_one_value(c: QPoly) -> Fraction:
-    return sum((Fraction(cf) for _, cf in c.pairs()), Fraction(0))
+    return Fraction(c.evaluate(1))
 
 
 def test_criterion_01_schur_expansion_of_running_example(criterion_log):

@@ -23,7 +23,7 @@ from lltgraphs.chromatic import chrom_quasisym
 from lltgraphs.errors import NotSymmetric, NotUnicellular, PreconditionViolated
 from lltgraphs.strips import HorizontalStrip, Row
 
-from formulas import path_graph, path_p_expansion, strip_compose
+from formulas import path_graph, path_p_expansion, q_coefficients, strip_compose
 from oracle import brute_chrom_quasisym, brute_extended_chromatic, llt_via_colourings
 
 
@@ -32,7 +32,7 @@ def _int_terms(f):
 
 
 def _q_terms(f):
-    return {exps: dict(c.pairs()) for exps, c in f.terms()}
+    return {exps: q_coefficients(c) for exps, c in f.terms()}
 
 
 def _pairs(graph):

@@ -3,19 +3,22 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from random import Random
 from unittest.mock import patch
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lltgraphs import QPoly, canonical_form, llt_poly, pi_graph
 from lltgraphs import cli, llt
 from lltgraphs.cli import main, partition_key, run_verify, sweep_family
 from lltgraphs.errors import PreconditionViolated
 from lltgraphs.strips import HorizontalStrip, Row
+
+from formulas import mask_components
 
 DATA = Path(__file__).parent / "data"
 
@@ -414,8 +417,11 @@ def test_package_runs_as_a_module():
     assert "verify" in result.stdout
 
 
-# verify outputs recorded before the sweep shared any work between strips
+# verify outputs recorded by earlier sweeps: verify_3_3_4.json before
+# split buckets were checked component by component, the others before
+# the sweep shared any work between strips
 GOLDEN_VERIFY = {
+    "verify_3_3_4.json": ["--max-rows", "3", "--max-len", "3", "--max-offset", "4"],
     "verify_4_1_4.json": ["--max-rows", "4", "--max-len", "1", "--max-offset", "4"],
     "verify_4_2_3_sample100_seed1675479830.json": [
         "--max-rows", "4", "--max-len", "2", "--max-offset", "3",
@@ -532,6 +538,44 @@ def _verify_without_memos(max_rows, max_len, max_offset, sample, seed, k):
     }
 
 
+def _engine_runs(family, sample, seed, k, engine):
+    """The engine inputs run_verify should run, as a Counter. Each bucket's
+    first strip runs whole. In a connected bucket each other distinct input
+    runs whole too. In a split one, a strip keyed by its components' sorted
+    inputs needs nothing when the key is the first strip's; another key
+    looks up the engine on both strips' components, each component input
+    once per sweep, and when the polynomials differ as multisets it runs
+    its first strip whole."""
+    nvars = k if k is not None else family[0]
+    buckets = {}
+    for strip in sweep_family(*family, sample, seed):
+        buckets.setdefault(canonical_form(pi_graph(strip)), []).append(strip)
+
+    def key(strip):
+        groups = mask_components(*llt.llt_input(strip))
+        return tuple(sorted(llt.llt_input(HorizontalStrip(tuple(strip.rows[i] for i in g)))
+                            for g in groups))
+
+    whole, parts = Counter(), set()
+    for first, *others in buckets.values():
+        whole[llt.llt_input(first)] += 1
+        if len(key(first)) == 1:
+            whole.update({llt.llt_input(s) for s in others} - {llt.llt_input(first)})
+            continue
+        firsts = {}
+        for other in others:
+            firsts.setdefault(key(other), other)
+        firsts.pop(key(first), None)
+        if firsts:
+            parts.update(key(first))
+        for other_key, other in firsts.items():
+            parts.update(other_key)
+            if (Counter(engine(*p, nvars) for p in other_key)
+                    != Counter(engine(*p, nvars) for p in key(first))):
+                whole[llt.llt_input(other)] += 1
+    return whole + Counter(parts)
+
+
 @given(
     family=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2)),
     sample=st.one_of(st.none(), st.integers(1, 40)),
@@ -539,23 +583,29 @@ def _verify_without_memos(max_rows, max_len, max_offset, sample, seed, k):
     k=st.one_of(st.none(), st.integers(1, 3)),
     skewed=st.booleans(),
 )
+@example(family=(3, 2, 2), sample=None, seed=0, k=None, skewed=True)  # 8 fallbacks
 def test_run_verify_matches_a_memo_free_reference(family, sample, seed, k, skewed):
-    """Equal reports, and one engine run per distinct engine input in a
-    bucket. A skewed engine, whose answer also depends on the inversion
-    masks' sum, differs inside buckets, so mismatches are compared too."""
+    """Equal reports, and the engine runs of _engine_runs. A skewed engine
+    also multiplies a connected input's polynomial by a power of q that
+    depends on the inversion masks' sum. It differs inside connected
+    buckets, so mismatches are compared too, and between the component
+    multisets of a split bucket, so the whole-strip fallback runs; a
+    disconnected input, run whole, keeps its true polynomial."""
     engine, runs = llt.llt_of_input, []
+
+    def maybe_skewed(sizes, out, nvars):
+        f = engine(sizes, out, nvars)
+        if skewed and len(mask_components(sizes, out)) == 1:
+            return f * QPoly.q_power(sum(out) % 3)
+        return f
 
     def counted(sizes, out, nvars):
         runs.append((sizes, out))
-        f = engine(sizes, out, nvars)
-        return f * QPoly.q_power(sum(out) % 3) if skewed else f
+        return maybe_skewed(sizes, out, nvars)
 
-    with patch.object(llt, "llt_of_input", counted):
+    with patch.object(llt, "llt_of_input", maybe_skewed):
         want = _verify_without_memos(*family, sample, seed, k)
-        runs.clear()
-        with patch.object(cli, "llt_of_input", counted):
-            got = run_verify(*family, sample=sample, seed=seed, k=k)
+    with patch.object(cli, "llt_of_input", counted):
+        got = run_verify(*family, sample=sample, seed=seed, k=k)
     assert got == want
-    distinct = {(canonical_form(pi_graph(strip)), llt.llt_input(strip))
-                for strip in sweep_family(*family, sample, seed)}
-    assert sorted(runs) == sorted(engine_input for _, engine_input in distinct)
+    assert Counter(runs) == _engine_runs(family, sample, seed, k, maybe_skewed)

@@ -17,11 +17,11 @@ from lltgraphs import (
     to_basis,
 )
 from lltgraphs.errors import MismatchedVariableCount, NotUnicellular, PreconditionViolated
-from lltgraphs.llt import llt_input, llt_of_input
+from lltgraphs.llt import llt_input, llt_of_input, row_components
 from lltgraphs.qsymfunc import SymFunc
 from lltgraphs.strips import HorizontalStrip, Row
 
-from formulas import two_row_schur
+from formulas import mask_components, q_coefficients, two_row_schur
 from oracle import brute_inversions, brute_llt, llt_via_colourings
 
 RUNNING = "4/0,5/4,8/5,6/1"
@@ -29,7 +29,7 @@ MAX_FILLINGS = 8000
 
 
 def _poly_as_nested_dict(f):
-    return {exps: dict(c.pairs()) for exps, c in f.terms()}
+    return {exps: q_coefficients(c) for exps, c in f.terms()}
 
 
 def top_q_degree(f):
@@ -168,7 +168,7 @@ def test_llt_poly_is_schur_positive(strip):
     """Grojnowski and Haiman (2007): every LLT polynomial is a sum of
     Schur functions with coefficients in N[q]."""
     for lam, c in to_basis(llt_poly(strip), "s").items():
-        assert all(a > 0 for _, a in c.pairs()), (strip.literal, lam)
+        assert all(a > 0 for a in q_coefficients(c).values()), (strip.literal, lam)
 
 
 @given(strip=theory_strips())
@@ -183,6 +183,32 @@ def test_llt_poly_at_q_one_is_h_of_the_row_sizes(strip):
         return {lam: c.evaluate(1) for lam, c in to_basis(f, "m").items()}
 
     assert at_q_one(llt_poly(strip, k)) == at_q_one(want), strip.literal
+
+
+@st.composite
+def disconnected_strips(draw):
+    """A theory strip of 2 or more rows with a nonempty proper subset of
+    its rows moved 20 contents up, out of reach of the others."""
+    strip = draw(theory_strips().filter(lambda s: s.n > 1))
+    far = draw(st.sets(st.integers(0, strip.n - 1), min_size=1, max_size=strip.n - 1))
+    return HorizontalStrip(tuple(r.shifted(20) if i in far else r
+                                 for i, r in enumerate(strip.rows)))
+
+
+@given(strip=disconnected_strips(), data=st.data())
+def test_llt_poly_is_the_product_over_row_components(strip, data):
+    """The components of the graph's nonzero edges are those of the
+    inversion masks, and the unfactored engine's polynomial is the
+    product of the polynomials of the components, rows kept in order."""
+    k = data.draw(st.integers(1, strip.n))
+    groups = row_components(pi_graph(strip).matrix)
+    assert len(groups) > 1
+    assert list(groups) == mask_components(*llt_input(strip)), strip.literal
+    product = None
+    for group in groups:
+        f = llt_poly(HorizontalStrip(tuple(strip.rows[i] for i in group)), k)
+        product = f if product is None else f * product
+    assert product == llt_of_input(*llt_input(strip), k), strip.literal
 
 
 def test_two_row_formula_smallest_case():
@@ -280,7 +306,8 @@ def _same_result(trusted, checked):
     assert trusted == checked and hash(trusted) == hash(checked)
     assert trusted.is_zero == checked.is_zero
     assert trusted.terms() == checked.terms() and str(trusted) == str(checked)
-    assert all(type(c) is int for _, poly in trusted.terms() for _, c in poly.pairs())
+    assert all(type(c) is int for _, poly in trusted.terms()
+               for c in q_coefficients(poly).values())
 
 
 @settings(max_examples=60)

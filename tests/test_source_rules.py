@@ -36,10 +36,11 @@ def test_library_has_no_float_literals():
     assert found == []
 
 
-# Public module-level names that nothing in the library calls yet, each
-# with the ROADMAP item or benchmark file that will call it. Anything else
-# public must have a caller in the library; closed forms that only tests
-# compare against live in tests/formulas.py.
+# Public module-level names, and public methods as Class.name, that nothing
+# in the library calls yet, each with the ROADMAP item or benchmark file
+# that will call it. Anything else public must have a caller in the
+# library; closed forms that only tests compare against live in
+# tests/formulas.py.
 PUBLIC_WITHOUT_LIBRARY_CALLER = {
     "dc_triple": "ROADMAP item 5 (proof certificates); criterion 5 checks it",
     "eval_basis": "bench/tracing.py traces qsymfunc.eval_basis (ROADMAP item 1)",
@@ -109,6 +110,35 @@ def _uncalled(private: bool) -> dict[str, str]:
     return {name: where for name, where in defined.items() if name not in used}
 
 
+def _attributes(node, within=()):
+    """(name, names of the functions around it) of each attribute under node."""
+    if isinstance(node, ast.Attribute):
+        yield node.attr, within
+    if isinstance(node, ast.FunctionDef):
+        within += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        yield from _attributes(child, within)
+
+
+def _uncalled_methods() -> dict[str, str]:
+    """Public methods and properties of module-level classes, as
+    Class.name, whose name no attribute in the library reads outside a
+    function of that name; an attribute on any object counts, so a
+    method is kept whenever some other object's member shares its name."""
+    defined, used = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                for item in top.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defined[f"{top.name}.{item.name}"] = f"{path.name}:{item.lineno}"
+        used.update(name for name, within in _attributes(tree) if name not in within)
+    assert defined
+    return {name: where for name, where in defined.items()
+            if name.split(".")[1] not in used}
+
+
 def test_library_has_no_unused_private_helpers():
     """Every module-level private function or class is used somewhere in
     the library other than inside its own definition."""
@@ -116,10 +146,11 @@ def test_library_has_no_unused_private_helpers():
 
 
 def test_every_public_name_has_a_library_caller_or_a_stated_need():
-    """A public module-level function or class is called in the library,
-    is a click command, or is on the allow-list with what needs it; an
-    allow-listed name that gains a caller or goes away leaves the list."""
-    uncalled = _uncalled(private=False)
+    """A public module-level function or class, or a public method or
+    property, is called in the library, is a click command, or is on the
+    allow-list with what needs it; an allow-listed name that gains a
+    caller or goes away leaves the list."""
+    uncalled = _uncalled(private=False) | _uncalled_methods()
     assert sorted(f"{where} {name}" for name, where in uncalled.items()
                   if name not in PUBLIC_WITHOUT_LIBRARY_CALLER) == []
     assert sorted(set(PUBLIC_WITHOUT_LIBRARY_CALLER) - set(uncalled)) == []
