@@ -118,15 +118,14 @@ def run_verify(
 
     Strips with one labelled graph share one canonical form and one split
     of their rows into row_components. The engine llt_of_input is a pure
-    function of llt_input's pair, and isomorphic graphs have isomorphic
-    components, so a bucket is connected or split throughout. In a
-    connected bucket, strips with equal pairs share one run. In a split
-    one, a strip is keyed by the sorted pairs of its components: a key
-    equal to the first strip's agrees, another agrees when its component
-    polynomials, run once per sweep, are the first strip's as a multiset,
-    and only otherwise is the whole strip run and compared. Each bucket's
-    first strip is run whole, since the converse count needs its
-    polynomial; a key's verdict is kept only while its bucket is checked."""
+    function of llt_input's pair, so one memo, kept for the whole sweep,
+    maps each pair it is asked for, a whole strip or a component, to the
+    id of its polynomial. A strip is keyed by the sorted pairs of its
+    components; a connected strip is its own one component. A member
+    agrees with its bucket's first strip when their keys are equal, or
+    else their component polynomials are equal as multisets, or else
+    their whole polynomials are. Each first strip is also run whole, and
+    the converse count groups the first strips by that polynomial."""
     strips = sweep_family(max_rows, max_len, max_offset, sample, seed)
     nvars = k if k is not None else max_rows
     forms: dict[WeightedGraph, tuple] = {}  # freed once the strips are bucketed
@@ -140,57 +139,37 @@ def run_verify(
             known = forms[graph] = canonical_form(graph), splits.setdefault(groups, groups)
         buckets.setdefault(known[0], []).append((strip, known[1]))
     del forms
-    part_ids: dict[tuple, int] = {}  # a split's component pair -> id of its polynomial
+    ids: dict[tuple, int] = {}  # engine input -> id of its polynomial
     poly_ids: dict[SymFunc, int] = {}
 
-    def engine_key(strip, groups) -> tuple:
-        if len(groups) == 1:
-            return llt_input(strip)
+    def poly_id(pair) -> int:
+        if pair not in ids:
+            ids[pair] = poly_ids.setdefault(llt_of_input(*pair, nvars), len(poly_ids))
+        return ids[pair]
+
+    def key(strip, groups) -> tuple:
         return tuple(sorted(llt_input(HorizontalStrip(tuple(strip.rows[i] for i in g)))
                             for g in groups))
 
-    def part_polys(key) -> list[int]:
-        for pair in key:
-            if pair not in part_ids:
-                part_ids[pair] = poly_ids.setdefault(llt_of_input(*pair, nvars), len(poly_ids))
-        return sorted(part_ids[pair] for pair in key)
-
     mismatches = []
-    bucket_poly = {}
-    bucket_rep = {}
-    for key, members in buckets.items():
+    firsts: dict[int, list[HorizontalStrip]] = {}  # whole polynomial id -> first strips
+    for members in buckets.values():
         first, groups = members[0]
-        split = len(groups) > 1
-        first_key = engine_key(first, groups)
-        base = bucket_poly[key] = llt_of_input(*(llt_input(first) if split else first_key), nvars)
-        bucket_rep[key] = first
-        agrees = {first_key: True}  # engine key -> its strips' polynomial equals base
+        first_key, first_id = key(first, groups), poly_id(llt_input(first))
+        firsts.setdefault(first_id, []).append(first)
         for other, groups in members[1:]:
-            other_key = engine_key(other, groups)
-            same = agrees.get(other_key)
-            if same is None:
-                same = split and part_polys(other_key) == part_polys(first_key)
-                if not same:
-                    same = llt_of_input(*llt_input(other), nvars) == base
-                agrees[other_key] = same
-            if not same:
+            other_key = key(other, groups)
+            if not (other_key == first_key
+                    or sorted(map(poly_id, other_key)) == sorted(map(poly_id, first_key))
+                    or poly_id(llt_input(other)) == first_id):
                 mismatches.append([first.literal, other.literal])
-    by_poly: dict[SymFunc, list[tuple]] = {}
-    for key, poly in bucket_poly.items():
-        by_poly.setdefault(poly, []).append(key)
-    converse = 0
-    example = None
-    for keys in by_poly.values():
-        if len(keys) > 1:
-            converse += len(keys) * (len(keys) - 1) // 2
-            if example is None:
-                example = [bucket_rep[keys[0]].literal, bucket_rep[keys[1]].literal]
+    equal = [same for same in firsts.values() if len(same) > 1]
     return {
         "strips": len(strips),
         "buckets": len(buckets),
         "mismatches": mismatches,
-        "converse_failures": converse,
-        "converse_example": example,
+        "converse_failures": sum(len(same) * (len(same) - 1) // 2 for same in equal),
+        "converse_example": [equal[0][0].literal, equal[0][1].literal] if equal else None,
     }
 
 
@@ -203,7 +182,7 @@ def _load_graph(text: str) -> WeightedGraph:
             raise ParseError(f"cannot read graph file {text!r}: {exc}") from exc
     try:
         payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter when nested too deep
         raise ParseError(f"bad graph JSON: {exc}") from exc
     return WeightedGraph.from_json_dict(payload)
 

@@ -51,10 +51,11 @@ class WeightedGraph:
                 _check_int(w, "edge weight")
         if any(w < 1 for w in self.weights):
             raise ValueError("vertex weights must be positive")
+        # a visit to (j, i) would repeat these checks once (i, j) is symmetric
         for i in range(n):
             if self.matrix[i][i] != 0:
                 raise ValueError("diagonal must be zero")
-            for j in range(n):
+            for j in range(i + 1, n):
                 w = self.matrix[i][j]
                 if w != self.matrix[j][i]:
                     raise ValueError("edge matrix must be symmetric")

@@ -123,6 +123,34 @@ def test_iso_missing_file(runner):
     assert result.exit_code == 2
 
 
+def _graph_error(result) -> dict:
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    return json.loads(line)["error"]
+
+
+def test_iso_unreadable_graph_file_is_a_parse_error(runner, tmp_path):
+    error = _graph_error(invoke(runner, "iso", "--a", str(tmp_path), "--b", str(tmp_path)))
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"cannot read graph file {str(tmp_path)!r}: ")
+
+
+# deeper than the JSON decoder can recurse, yet short enough for one argv entry
+DEEP_GRAPH = '{"weights":' + "[" * 100_000
+
+
+@pytest.mark.parametrize("where", ["inline", "file"])
+def test_graph_json_nested_too_deep_is_a_parse_error(runner, tmp_path, where):
+    graph = DEEP_GRAPH
+    if where == "file":
+        graph = tmp_path / "deep.json"
+        graph.write_text(DEEP_GRAPH)
+    error = _graph_error(invoke(runner, "iso", "--a", str(graph), "--b", '{"weights":[1]}'))
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("bad graph JSON: maximum recursion depth exceeded")
+
+
 def test_chromatic_from_strip(runner):
     result = invoke(runner, "chromatic", "--strip", "1/0,1/0", "--vars", "2")
     assert body(result)["result"]["monomials"] == {"(1,1)": "q+1"}
@@ -417,12 +445,14 @@ def test_package_runs_as_a_module():
     assert "verify" in result.stdout
 
 
-# verify outputs recorded by earlier sweeps: verify_3_3_4.json before
-# split buckets were checked component by component, the others before
-# the sweep shared any work between strips
+# verify outputs recorded by earlier sweeps: verify_5_1_4.json, with one
+# converse pair, before connected and split buckets shared one rule,
+# verify_3_3_4.json before split buckets were checked component by
+# component, the others before the sweep shared any work between strips
 GOLDEN_VERIFY = {
     "verify_3_3_4.json": ["--max-rows", "3", "--max-len", "3", "--max-offset", "4"],
     "verify_4_1_4.json": ["--max-rows", "4", "--max-len", "1", "--max-offset", "4"],
+    "verify_5_1_4.json": ["--max-rows", "5", "--max-len", "1", "--max-offset", "4"],
     "verify_4_2_3_sample100_seed1675479830.json": [
         "--max-rows", "4", "--max-len", "2", "--max-offset", "3",
         "--sample", "100", "--seed", "1675479830",
@@ -539,13 +569,11 @@ def _verify_without_memos(max_rows, max_len, max_offset, sample, seed, k):
 
 
 def _engine_runs(family, sample, seed, k, engine):
-    """The engine inputs run_verify should run, as a Counter. Each bucket's
-    first strip runs whole. In a connected bucket each other distinct input
-    runs whole too. In a split one, a strip keyed by its components' sorted
-    inputs needs nothing when the key is the first strip's; another key
-    looks up the engine on both strips' components, each component input
-    once per sweep, and when the polynomials differ as multisets it runs
-    its first strip whole."""
+    """The engine inputs run_verify should run, each once per sweep, as a
+    Counter: each bucket's first strip whole; the component inputs of both
+    strips wherever a member's key, its components' sorted inputs, is not
+    the first strip's; and that member whole where its component
+    polynomials differ from the first strip's as a multiset."""
     nvars = k if k is not None else family[0]
     buckets = {}
     for strip in sweep_family(*family, sample, seed):
@@ -556,24 +584,18 @@ def _engine_runs(family, sample, seed, k, engine):
         return tuple(sorted(llt.llt_input(HorizontalStrip(tuple(strip.rows[i] for i in g)))
                             for g in groups))
 
-    whole, parts = Counter(), set()
+    def polys(key):
+        return Counter(engine(*pair, nvars) for pair in key)
+
+    runs = set()
     for first, *others in buckets.values():
-        whole[llt.llt_input(first)] += 1
-        if len(key(first)) == 1:
-            whole.update({llt.llt_input(s) for s in others} - {llt.llt_input(first)})
-            continue
-        firsts = {}
+        runs.add(llt.llt_input(first))
         for other in others:
-            firsts.setdefault(key(other), other)
-        firsts.pop(key(first), None)
-        if firsts:
-            parts.update(key(first))
-        for other_key, other in firsts.items():
-            parts.update(other_key)
-            if (Counter(engine(*p, nvars) for p in other_key)
-                    != Counter(engine(*p, nvars) for p in key(first))):
-                whole[llt.llt_input(other)] += 1
-    return whole + Counter(parts)
+            if key(other) != key(first):
+                runs.update(key(other) + key(first))
+                if polys(key(other)) != polys(key(first)):
+                    runs.add(llt.llt_input(other))
+    return Counter(runs)
 
 
 @given(
@@ -583,7 +605,7 @@ def _engine_runs(family, sample, seed, k, engine):
     k=st.one_of(st.none(), st.integers(1, 3)),
     skewed=st.booleans(),
 )
-@example(family=(3, 2, 2), sample=None, seed=0, k=None, skewed=True)  # 8 fallbacks
+@example(family=(3, 2, 2), sample=None, seed=0, k=None, skewed=True)  # 18 fallbacks
 def test_run_verify_matches_a_memo_free_reference(family, sample, seed, k, skewed):
     """Equal reports, and the engine runs of _engine_runs. A skewed engine
     also multiplies a connected input's polynomial by a power of q that

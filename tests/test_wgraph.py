@@ -67,6 +67,28 @@ def test_constructor_refuses_non_int_weights(weights, matrix):
         WeightedGraph(weights, matrix)
 
 
+@pytest.mark.parametrize(
+    "weights, matrix, message",
+    [
+        ((), (), "graph needs at least one vertex"),
+        ((1, 1), ((0,),), "edge matrix shape must match vertex count"),
+        ((1, 1), ((0, 0), (0,)), "edge matrix shape must match vertex count"),
+        ((2, 0), ((0, 0), (0, 0)), "vertex weights must be positive"),
+        ((2, 2), ((0, 1), (1, 1)), "diagonal must be zero"),
+        ((2, 2), ((0, 1), (2, 0)), "edge matrix must be symmetric"),
+        ((2, 2, 2), ((0, 0, 0), (0, 0, 0), (1, 0, 0)), "edge matrix must be symmetric"),
+        ((2, 2), ((0, -1), (-1, 0)), "edge weights must be nonnegative"),
+        ((3, 2, 4), ((0, 0, 0), (0, 0, 3), (0, 3, 0)), "edge (2,3) weight 3 exceeds vertex weights"),
+    ],
+    ids=["empty", "short-matrix", "short-row", "vertex-weight-0", "diagonal",
+         "asymmetric", "lower-triangle-only", "negative-edge", "edge-above-vertex-weight"],
+)
+def test_constructor_names_the_first_fault(weights, matrix, message):
+    with pytest.raises(ValueError) as info:
+        WeightedGraph(weights, matrix)
+    assert str(info.value) == message
+
+
 def test_frozen_graph_files_match_strips():
     assert load_graph("wgraph_pair_a.json") == pi_graph(parse_strip(RUNNING))
     assert load_graph("wgraph_pair_b.json") == pi_graph(parse_strip(PARTNER))
