@@ -48,18 +48,6 @@ class MismatchedVariableCount(PreconditionError):
     """Arithmetic between symmetric polynomials in different variable counts."""
 
 
-class InexactDivision(PreconditionError):
-    """Coefficientwise division left a remainder."""
-
-    def __init__(self, partition=None):
-        self.partition = tuple(partition) if partition is not None else None
-        super().__init__(
-            "inexact division"
-            if self.partition is None
-            else f"inexact division at partition {self.partition}"
-        )
-
-
 # --- strips ---
 
 class NonCommutingSwap(PreconditionError):

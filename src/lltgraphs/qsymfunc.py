@@ -21,7 +21,6 @@ from math import factorial
 from operator import sub
 
 from .errors import (
-    InexactDivision,
     InsufficientVariables,
     MismatchedVariableCount,
     NonIntegralCoefficient,
@@ -112,7 +111,7 @@ class QPoly:
     def __hash__(self):
         # a constant equals its number, so it hashes as that number
         if self._coeffs.keys() <= {0}:
-            return hash(self._coeffs.get(0, 0))
+            return hash(self.coeff(0))
         return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other):
@@ -162,29 +161,6 @@ class QPoly:
         """Value of the polynomial at q = value (exact)."""
         return sum((c * value**e for e, c in self._coeffs.items()), 0)
 
-    def divide(self, d: "QPoly"):
-        """Exact quotient self / d, or None if a remainder is left."""
-        if d.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = {e: Fraction(c) for e, c in self._coeffs.items()}
-        quot: dict[int, Fraction] = {}
-        d_deg = d.degree
-        d_lead = Fraction(d.coeff(d_deg))
-        while rem:
-            r_deg = max(rem)
-            if r_deg < d_deg:
-                return None
-            factor = rem[r_deg] / d_lead
-            quot[r_deg - d_deg] = factor
-            for e, c in d._coeffs.items():
-                shifted = e + r_deg - d_deg
-                new = rem.get(shifted, Fraction(0)) - factor * c
-                if new:
-                    rem[shifted] = new
-                else:
-                    rem.pop(shifted, None)
-        return QPoly(quot)
-
     def __str__(self):
         text = ""
         for e in sorted(self._coeffs, reverse=True):
@@ -232,16 +208,7 @@ class SymFunc:
             raise ValueError("need at least one variable")
         self.k = k
         self.degree = degree
-        data: dict[tuple[int, ...], QPoly] = {}
-        for lam, c in coords or ():
-            lam = _check_partition(lam)
-            if len(lam) > k or sum(lam) != degree:
-                raise ValueError(
-                    f"partition {lam} is not of {degree} with at most {k} parts"
-                )
-            prev = data.get(lam)
-            data[lam] = c if prev is None else prev + c
-        self._coords = {lam: c for lam, c in data.items() if c}
+        self._coords = _collect(coords, degree, k)
 
     @classmethod
     def _of_counts(cls, k: int, degree: int, counts: dict) -> "SymFunc":
@@ -391,6 +358,25 @@ def _check_partition(lam) -> tuple[int, ...]:
     return lam
 
 
+def _collect(pairs, degree: int, max_len: int) -> dict:
+    """The (partition lam, c) pairs, or a map lam -> c, summed per lam with
+    the zero sums dropped. Each lam sums to degree and has at most max_len
+    parts; a plain number c becomes a constant QPoly, so a float is a
+    TypeError."""
+    data: dict[tuple[int, ...], QPoly] = {}
+    for lam, c in pairs.items() if isinstance(pairs, dict) else pairs or ():
+        lam = _check_partition(lam)
+        if len(lam) > max_len or sum(lam) != degree:
+            raise ValueError(
+                f"partition {lam} is not of {degree} with at most {max_len} parts"
+            )
+        if not isinstance(c, QPoly):
+            c = QPoly.constant(c)
+        prev = data.get(lam)
+        data[lam] = c if prev is None else prev + c
+    return {lam: c for lam, c in data.items() if c}
+
+
 def _distinct_permutations(items: tuple[int, ...]):
     """All distinct rearrangements, each once, in increasing lexicographic
     order; stepping to the next permutation needs no recursion."""
@@ -520,22 +506,7 @@ class BasisExpansion:
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
         self.degree = _check_int(degree, "degree")
-        data: dict[tuple[int, ...], QPoly] = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for lam, c in items:
-                lam = _check_partition(lam)
-                if sum(lam) != self.degree:
-                    raise ValueError(f"partition {lam} does not sum to {degree}")
-                if not isinstance(c, QPoly):
-                    c = QPoly.constant(c)
-                prev = data.get(lam)
-                c = c if prev is None else prev + c
-                if c.is_zero:
-                    data.pop(lam, None)
-                else:
-                    data[lam] = c
-        self._coeffs = data
+        self._coeffs = _collect(coeffs, degree, degree)
 
     def coeff(self, lam) -> QPoly:
         return self._coeffs.get(tuple(lam), QPoly.zero())
@@ -678,13 +649,3 @@ def plethystic_q_substitute(exp: BasisExpansion) -> BasisExpansion:
         coeffs[lam] = c * factor
     return BasisExpansion("p", exp.degree, coeffs)
 
-
-def divide_qpoly(exp: BasisExpansion, d: QPoly) -> BasisExpansion:
-    """Coefficientwise exact division of a basis expansion by d."""
-    coeffs = {}
-    for lam, c in exp.items():
-        quot = c.divide(d)
-        if quot is None:
-            raise InexactDivision(lam)
-        coeffs[lam] = quot
-    return BasisExpansion(exp.basis, exp.degree, coeffs)

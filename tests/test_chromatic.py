@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from lltgraphs import (
     QPoly,
+    SymFunc,
     WeightedGraph,
     eval_basis,
     extended_chromatic,
@@ -19,6 +20,7 @@ from lltgraphs import (
     to_basis,
     verify_plethysm_bridge,
 )
+import lltgraphs.chromatic as chromatic
 from lltgraphs.chromatic import chrom_quasisym
 from lltgraphs.errors import NotSymmetric, NotUnicellular, PreconditionViolated
 from lltgraphs.strips import HorizontalStrip, Row
@@ -276,3 +278,20 @@ def test_composed_strips_share_polynomial():
     right = strip_compose((2, 1), base)
     assert left != right
     assert llt_poly(left, 6) == llt_poly(right, 6)
+
+
+@pytest.mark.parametrize("wrong", ["llt", "chromatic"])
+def test_bridge_says_no_when_one_side_is_wrong(monkeypatch, wrong):
+    """An extra m_(n) term on the strip side is not a multiple of (q-1)^n;
+    a chromatic side times q is a multiple of the wrong quotient."""
+    strip = parse_strip("1/0,2/1,1/0")
+    assert verify_plethysm_bridge(strip)
+    if wrong == "llt":
+        llt = chromatic.llt_poly
+        monkeypatch.setattr(chromatic, "llt_poly",
+                            lambda s, k: llt(s, k) + SymFunc(k, s.n, [((s.n,), 1)]))
+    else:
+        chrom = chromatic.chrom_quasisym
+        monkeypatch.setattr(chromatic, "chrom_quasisym",
+                            lambda g, k: chrom(g, k) * QPoly.q_power(1))
+    assert not verify_plethysm_bridge(strip)

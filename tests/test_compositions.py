@@ -92,3 +92,14 @@ def test_multiset_invariant_under_reversal():
 def test_compositions_of_counts():
     for n in range(1, 9):
         assert len(coarsenings((1,) * n)) == 2 ** (n - 1)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [(lambda: as_composition(()), ParseError),
+     (lambda: near_concat_power((2, 1), 0), ValueError)],
+    ids=["empty", "power-zero"],
+)
+def test_error_paths(call, error):
+    with pytest.raises(error):
+        call()

@@ -21,7 +21,6 @@ from lltgraphs import (
 from lltgraphs import qsymfunc
 from lltgraphs.chromatic import chrom_quasisym
 from lltgraphs.errors import (
-    InexactDivision,
     InsufficientVariables,
     NotSymmetric,
     NonIntegralCoefficient,
@@ -30,7 +29,6 @@ from lltgraphs.errors import (
 from lltgraphs.qsymfunc import (
     BASES,
     _merge_count,
-    divide_qpoly,
     partitions_of,
     plethystic_q_substitute,
 )
@@ -102,14 +100,6 @@ def test_zero_expansions_of_different_degrees_hash_equal():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
-
-
-def test_qpoly_division():
-    num = QPoly({2: 1, 0: -1})
-    assert num.divide(QPoly({1: 1, 0: 1})) == QPoly({1: 1, 0: -1})
-    assert num.divide(QPoly({1: 1, 0: 2})) is None
-    with pytest.raises(ZeroDivisionError):
-        num.divide(QPoly.zero())
 
 
 @pytest.mark.parametrize(
@@ -511,9 +501,43 @@ def test_plethystic_substitute_rejects_other_bases():
         plethystic_q_substitute(exp)
 
 
-def test_divide_qpoly():
-    exp = BasisExpansion("p", 1, {(1,): QPoly({2: 1, 0: -1})})
-    out = divide_qpoly(exp, QPoly({1: 1, 0: 1}))
-    assert out.coeff((1,)) == QPoly({1: 1, 0: -1})
-    with pytest.raises(InexactDivision):
-        divide_qpoly(exp, QPoly({1: 1, 0: 2}))
+@pytest.mark.parametrize(
+    "build", [lambda c: SymFunc(2, 2, [((2,), c), ((2,), 1)]),
+              lambda c: BasisExpansion("s", 2, [((2,), c), ((2,), 1)])],
+    ids=["symfunc", "expansion"],
+)
+def test_coefficients_are_collected_as_exact_qpolys(build):
+    """A float coefficient is refused, not stored, and a plain number comes
+    back as a constant QPoly in both constructors."""
+    with pytest.raises(TypeError):
+        build(1.5)
+    f = build(2)
+    c = f.coeff((2, 0) if isinstance(f, SymFunc) else (2,))
+    assert isinstance(c, QPoly) and c == 3
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: BasisExpansion("s", 3, {(2, "1"): 1}), TypeError, "must be ints"),
+        (lambda: BasisExpansion("s", 2, {(2, 0): 1}), ValueError, "must be positive"),
+        (lambda: SymFunc(2, 3, [((1, 2), 1)]), ValueError, "weakly decreasing"),
+        (lambda: BasisExpansion("x", 1), ValueError, "unknown basis"),
+        (lambda: to_basis(eval_basis("m", (1,), 1), "x"), ValueError, "unknown basis"),
+    ],
+    ids=["non-int-part", "part-below-one", "increasing-parts",
+         "expansion-basis", "to-basis-basis"],
+)
+def test_error_paths(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_length_difference_and_reversed_subtraction():
+    f = eval_basis("s", (2, 1), 3)
+    assert len(f) == len(f.terms()) == 7
+    assert (f - f).is_zero
+    assert f - eval_basis("m", (2, 1), 3) == eval_basis("m", (1, 1, 1), 3) * 2
+    assert 1 - QPoly.q_power(1) == QPoly({0: 1, 1: -1})
+    assert str(BasisExpansion("h", 3, {(2, 1): QPoly.q_power(1), (3,): 2})) == "(2)*h3 + (q)*h21"
+    assert str(BasisExpansion("p", 0)) == "0"

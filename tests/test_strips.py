@@ -193,3 +193,17 @@ def test_strip_compose_matches_composition_route():
 def test_strip_equality_is_positional():
     assert parse_strip("2/0,1/0") != parse_strip("1/0,2/0")
     assert HorizontalStrip((Row(0, 1),)) == parse_strip("2/0")
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Row(2, 1), ValueError),
+        (lambda: HorizontalStrip(()), ValueError),
+        (lambda: m_ij(parse_strip(RUNNING), 2, 2), IndexOutOfRange),
+    ],
+    ids=["empty-row", "no-rows", "same-row"],
+)
+def test_error_paths(call, error):
+    with pytest.raises(error):
+        call()

@@ -730,3 +730,13 @@ def test_search_matches_a_reference_bfs(sweep_main_buckets, data, seed, kind):
 )
 def test_fixed_pairs_match_the_reference_bfs(source, target):
     assert_search_matches_reference(parse_strip(source), parse_strip(target))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [(lambda: apply_move(parse_strip("2/0,3/1"), ("reflect", 1)), ValueError)],
+    ids=["unknown-move"],
+)
+def test_error_paths(call, error):
+    with pytest.raises(error):
+        call()

@@ -417,3 +417,21 @@ def test_pi_cli_payload_loads_back_to_the_graph(rows):
     assert result.exit_code == 0
     payload = json.loads(result.output)["result"]
     assert WeightedGraph.from_json_dict(payload) == pi_graph(strip)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda g: g.edge(0, 1), IndexOutOfRange),
+        (lambda g: g.edge(1, 3), IndexOutOfRange),
+        (lambda g: WeightedGraph.from_edges((1, 1), [(2, 2, 1)]), ValueError),
+        (lambda g: WeightedGraph.from_edges((1, 1), [(1, 3, 1)]), ValueError),
+        (lambda g: realize(g, -1), ValueError),
+        (lambda g: predict_dc_graphs(g, 1, 3, 0), IndexOutOfRange),
+    ],
+    ids=["edge-below", "edge-above", "loop", "endpoint-out-of-range",
+         "negative-bound", "dc-vertex-out-of-range"],
+)
+def test_error_paths(call, error):
+    with pytest.raises(error):
+        call(WeightedGraph.from_edges((2, 2), [(1, 2, 1)]))
