@@ -33,17 +33,6 @@ class InsufficientVariables(PreconditionError):
     """Too few variables to certify the requested basis expansion."""
 
 
-class NonIntegralCoefficient(PreconditionError):
-    """A basis asserting integer coefficients produced a fraction."""
-
-    def __init__(self, partition, coefficient):
-        self.partition = tuple(partition)
-        self.coefficient = coefficient
-        super().__init__(
-            f"non-integral coefficient {coefficient} at partition {self.partition}"
-        )
-
-
 class MismatchedVariableCount(PreconditionError):
     """Arithmetic between symmetric polynomials in different variable counts."""
 

@@ -23,11 +23,15 @@ from operator import sub
 from .errors import (
     InsufficientVariables,
     MismatchedVariableCount,
-    NonIntegralCoefficient,
     PreconditionViolated,
 )
 
 BASES = ("m", "s", "h", "e", "p")
+
+
+def _exact(x) -> bool:
+    """Whether the plain number x is an int or a Fraction; a bool is neither."""
+    return type(x) in (int, Fraction)
 
 
 def _norm_coeff(c):
@@ -39,8 +43,9 @@ class QPoly:
 
     Stored as a map from nonnegative exponent to nonzero coefficient.
     The degree of the zero polynomial is None. Exponents must be ints and
-    coefficients ints or Fractions (bool counts as neither); anything
-    else, a float included, is a TypeError rather than a truncation.
+    coefficients ints or Fractions, as must every plain number an operator
+    takes; anything else, a bool or a float included, is a TypeError
+    rather than a truncation, and == with it is False.
     """
 
     __slots__ = ("_coeffs",)
@@ -50,11 +55,9 @@ class QPoly:
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for e, c in items:
-                if isinstance(e, bool) or not isinstance(e, int):
-                    raise TypeError(f"q-exponent {e!r} is not an int")
-                if e < 0:
+                if _check_int(e, "q-exponent") < 0:
                     raise ValueError(f"negative q-exponent {e}")
-                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                if not _exact(c):
                     raise TypeError(f"q-coefficient {c!r} is not an int or a Fraction")
                 data[e] = data.get(e, 0) + c
         self._coeffs = {e: _norm_coeff(c) for e, c in data.items() if c != 0}
@@ -91,10 +94,6 @@ class QPoly:
         """Largest exponent with nonzero coefficient, or None for zero."""
         return max(self._coeffs) if self._coeffs else None
 
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self._coeffs.values())
-
     def coeff(self, e: int):
         return self._coeffs.get(e, 0)
 
@@ -104,7 +103,7 @@ class QPoly:
     def __eq__(self, other):
         if isinstance(other, QPoly):
             return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
+        if _exact(other):
             return self == QPoly.constant(other)
         return NotImplemented
 
@@ -115,10 +114,10 @@ class QPoly:
         return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.constant(other)
         if not isinstance(other, QPoly):
-            return NotImplemented
+            if not _exact(other):
+                return NotImplemented
+            other = QPoly.constant(other)
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) + c
@@ -130,27 +129,29 @@ class QPoly:
         return QPoly({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QPoly) else QPoly.constant(-other))
+        if isinstance(other, QPoly) or _exact(other):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
-        return QPoly.constant(other) - self
+        return -self + other if _exact(other) else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, QPoly):
+            out: dict[int, object] = {}
+            for e1, c1 in self._coeffs.items():
+                for e2, c2 in other._coeffs.items():
+                    e = e1 + e2
+                    out[e] = out.get(e, 0) + c1 * c2
+            return QPoly(out)
+        if _exact(other):
             return QPoly({e: c * other for e, c in self._coeffs.items()})
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        out: dict[int, object] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return QPoly(out)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
+        if _check_int(n, "power") < 0:
             raise ValueError("negative power")
         out = QPoly.one()
         for _ in range(n):
@@ -158,7 +159,9 @@ class QPoly:
         return out
 
     def evaluate(self, value):
-        """Value of the polynomial at q = value (exact)."""
+        """Value of the polynomial at the exact number q = value."""
+        if not _exact(value):
+            raise TypeError(f"point {value!r} is not an int or a Fraction")
         return sum((c * value**e for e, c in self._coeffs.items()), 0)
 
     def __str__(self):
@@ -277,7 +280,7 @@ class SymFunc:
         return self + (other * QPoly.constant(-1))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _exact(other):
             other = QPoly.constant(other)
         if isinstance(other, QPoly):
             return SymFunc(
@@ -593,10 +596,10 @@ def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
     _solve takes the c in increasing order, dividing only by R(mu, mu)
     (I.6).
 
-    Raises InsufficientVariables when basis is h, e or p and k < degree
-    (they need every partition of the degree), and NonIntegralCoefficient,
-    naming the first in decreasing order, when the s or m expansion
-    (always integral for integral inputs) comes out fractional.
+    The coefficients are exact in every basis: integral inputs give
+    integral s- and m-coefficients, rational inputs rational ones. Raises
+    InsufficientVariables when basis is h, e or p and k < degree (they
+    need every partition of the degree).
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
@@ -629,10 +632,6 @@ def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
                 coeffs[lam] = QPoly(acc)
         if basis != "s":
             coeffs = _jacobi_trudi(coeffs, basis)
-    if basis in ("s", "m"):
-        for lam, c in coeffs.items():
-            if not c.is_integral:
-                raise NonIntegralCoefficient(lam, c)
     return BasisExpansion(basis, f.degree, coeffs)
 
 

@@ -106,8 +106,8 @@ def parse_row(text: str) -> Row:
 
 
 def parse_strip(text: str) -> HorizontalStrip:
-    pieces = [p for p in text.split(",")]
-    if not pieces or any(not p.strip() for p in pieces):
+    pieces = text.split(",")
+    if any(not p.strip() for p in pieces):
         raise ParseError(f"bad strip literal {text!r}")
     return HorizontalStrip(tuple(parse_row(p) for p in pieces))
 

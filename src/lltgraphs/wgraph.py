@@ -117,8 +117,6 @@ class WeightedGraph:
             weights = obj["weights"]
             edges = [tuple(e) for e in obj.get("edges", [])]
             return cls.from_edges(weights, edges)
-        except ParseError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad graph JSON: {exc}") from None
 

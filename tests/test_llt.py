@@ -174,7 +174,8 @@ def test_llt_poly_is_schur_positive(strip):
 @given(strip=theory_strips())
 def test_llt_poly_at_q_one_is_h_of_the_row_sizes(strip):
     """Haglund, Haiman and Loehr (JAMS 2005): at q = 1 the LLT
-    polynomial is the product of h over the row sizes."""
+    polynomial is the product of h over the row sizes. Its top q-degree
+    is the total edge weight of the graph, checked here as evidence only."""
     k = strip.n
     sizes = tuple(sorted(strip.sizes, reverse=True))
     want = BasisExpansion("h", sum(sizes), {sizes: QPoly.one()}).evaluate(k)
@@ -182,7 +183,10 @@ def test_llt_poly_at_q_one_is_h_of_the_row_sizes(strip):
     def at_q_one(f):
         return {lam: c.evaluate(1) for lam, c in to_basis(f, "m").items()}
 
-    assert at_q_one(llt_poly(strip, k)) == at_q_one(want), strip.literal
+    f = llt_poly(strip, k)
+    assert at_q_one(f) == at_q_one(want), strip.literal
+    weight = sum(w for _, _, w in pi_graph(strip).edge_list())
+    assert top_q_degree(f) == weight, strip.literal
 
 
 @st.composite

@@ -23,7 +23,6 @@ from lltgraphs.chromatic import chrom_quasisym
 from lltgraphs.errors import (
     InsufficientVariables,
     NotSymmetric,
-    NonIntegralCoefficient,
     PreconditionViolated,
 )
 from lltgraphs.qsymfunc import (
@@ -154,6 +153,46 @@ def test_basis_expansion_and_eval_basis_reject_non_int_parts(lam):
         BasisExpansion("s", 3, {lam: 1})
     with pytest.raises(TypeError):
         eval_basis("s", lam, 2)
+
+
+_q = QPoly.q_power(1)
+_x1_plus_x2 = eval_basis("m", (1,), 2)
+
+# each way a plain number x enters QPoly or SymFunc, and its value for an
+# exact x, found without that way
+_WITH_A_NUMBER = {
+    "eq": (lambda x: QPoly({0: 2}) == x, lambda x: x == 2),
+    "reflected-eq": (lambda x: x == QPoly({0: 2}), lambda x: x == 2),
+    "add": (lambda x: _q + x, lambda x: QPoly({1: 1, 0: x})),
+    "reflected-add": (lambda x: x + _q, lambda x: QPoly({1: 1, 0: x})),
+    "sub": (lambda x: _q - x, lambda x: QPoly({1: 1, 0: -x})),
+    "reflected-sub": (lambda x: x - _q, lambda x: QPoly({1: -1, 0: x})),
+    "mul": (lambda x: _q * x, lambda x: QPoly({1: x})),
+    "reflected-mul": (lambda x: x * _q, lambda x: QPoly({1: x})),
+    "pow": (lambda x: _q ** x, lambda x: QPoly({x: 1})),
+    "symfunc-mul": (lambda x: _x1_plus_x2 * x, lambda x: SymFunc(2, 1, [((1,), x)])),
+    "reflected-symfunc-mul": (lambda x: x * _x1_plus_x2,
+                              lambda x: SymFunc(2, 1, [((1,), x)])),
+    "constructor": (lambda x: str(QPoly({0: x})), str),
+    "evaluate": (lambda x: QPoly({2: 1, 0: -1}).evaluate(x), lambda x: x * x - 1),
+}
+
+
+@pytest.mark.parametrize(
+    "x", [2, Fraction(1, 2), True, 1.5, "2"], ids=["int", "fraction", "bool", "float", "str"]
+)
+@pytest.mark.parametrize("way", list(_WITH_A_NUMBER))
+def test_only_exact_numbers_enter(way, x):
+    """An int or a Fraction enters exactly (a power only as an int); a
+    bool, a float or a str is a TypeError, and == with it is False."""
+    apply, want = _WITH_A_NUMBER[way]
+    if type(x) is int or (type(x) is Fraction and way != "pow"):
+        assert apply(x) == want(x)
+    elif way in ("eq", "reflected-eq"):
+        assert apply(x) is False
+    else:
+        with pytest.raises(TypeError):
+            apply(x)
 
 
 def test_qpoly_degree_and_coeff():
@@ -327,24 +366,18 @@ def test_basis_changes_re_evaluate_to_the_input(n, source, integral, data):
     terms = data.draw(
         st.dictionaries(st.sampled_from(list(partitions_of(n))), qpoly, max_size=4)
     )
-    f = BasisExpansion(source, n, terms).evaluate(n)
-    for basis in "hep":
+    given_exp = BasisExpansion(source, n, terms)
+    f = given_exp.evaluate(n)
+    for basis in BASES:
         exp = to_basis(f, basis)
         assert exp.basis == basis
         assert exp.evaluate(n) == f, basis
-    # s and m refuse exactly the inputs whose expansion has a fraction,
-    # naming its first fractional coefficient in decreasing order
+    assert to_basis(f, source) == given_exp
+    # s and m give the exact coordinates, rational ones for a rational input
     monomial = ((mu, f.coeff(_pad(mu, n))) for mu in partitions_of(n))
     want = {"m": {mu: c for mu, c in monomial if c}, "s": _oracle_schur_coords(f)}
     for basis, coords in want.items():
-        fractional = [(mu, c) for mu, c in coords.items() if not c.is_integral]
-        if fractional:
-            with pytest.raises(NonIntegralCoefficient) as caught:
-                to_basis(f, basis)
-            got = caught.value
-            assert (got.partition, got.coefficient) == fractional[0], basis
-        else:
-            assert dict(to_basis(f, basis).items()) == coords, basis
+        assert dict(to_basis(f, basis).items()) == coords, basis
 
 
 @settings(max_examples=150)
@@ -361,14 +394,18 @@ def test_schur_coordinates_match_the_oracle_kostka_solve(n, integral, data):
         label="coords",
     )
     f = SymFunc(k, n, coords.items())
-    want = _oracle_schur_coords(f)
-    fractional = [(mu, c) for mu, c in want.items() if not c.is_integral]
-    if fractional:
-        with pytest.raises(NonIntegralCoefficient) as caught:
-            to_basis(f, "s")
-        assert (caught.value.partition, caught.value.coefficient) == fractional[0]
-    else:
-        assert dict(to_basis(f, "s").items()) == want
+    assert dict(to_basis(f, "s").items()) == _oracle_schur_coords(f)
+
+
+def test_a_rational_expansion_round_trips_through_every_basis():
+    given_exp = BasisExpansion("s", 2, {(2,): Fraction(1, 2)})
+    f = given_exp.evaluate(2)
+    assert to_basis(f, "s") == given_exp
+    assert to_basis(f, "m") == BasisExpansion("m", 2, {(2,): Fraction(1, 2),
+                                                      (1, 1): Fraction(1, 2)})
+    assert str(to_basis(f, "h")) == "(1/2)*h2"
+    for basis in BASES:
+        assert to_basis(f, basis).evaluate(2) == f, basis
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -524,13 +561,29 @@ def test_coefficients_are_collected_as_exact_qpolys(build):
         (lambda: SymFunc(2, 3, [((1, 2), 1)]), ValueError, "weakly decreasing"),
         (lambda: BasisExpansion("x", 1), ValueError, "unknown basis"),
         (lambda: to_basis(eval_basis("m", (1,), 1), "x"), ValueError, "unknown basis"),
+        (lambda: QPoly({-1: 1}), ValueError, "negative q-exponent"),
+        (lambda: QPoly.q_power(1) ** -1, ValueError, "negative power"),
+        (lambda: SymFunc(0, 0), ValueError, "at least one variable"),
+        (lambda: SymFunc(2, 3, [((2,), 1)]), ValueError, "not of 3 with at most 2 parts"),
+        (lambda: eval_basis("m", (1,), 2) + eval_basis("m", (2,), 2), ValueError,
+         "different degrees"),
     ],
     ids=["non-int-part", "part-below-one", "increasing-parts",
-         "expansion-basis", "to-basis-basis"],
+         "expansion-basis", "to-basis-basis", "negative-exponent", "negative-power",
+         "no-variables", "partition-off-degree", "different-degrees"],
 )
 def test_error_paths(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_symfunc_edge_branches():
+    f = eval_basis("m", (1,), 2)
+    zero = SymFunc(2, 5)
+    assert f.coeff((1, 0, 0)).is_zero
+    assert f != eval_basis("m", (1,), 3)
+    assert f + zero == f and zero + f == f
+    assert str(SymFunc(2, 0, [((), 5)])) == "(5)*1"
 
 
 def test_length_difference_and_reversed_subtraction():
