@@ -18,7 +18,7 @@ ascent-weighted chromatic function after substituting x -> x(q-1).
 from __future__ import annotations
 
 from . import compositions as comps
-from .errors import NotSymmetric, NotUnicellular, PreconditionViolated
+from .errors import NotSymmetric, PreconditionViolated
 from .llt import llt_poly, partition_dp
 from .qsymfunc import BasisExpansion, QPoly, SymFunc, plethystic_q_substitute, to_basis
 from .strips import HorizontalStrip
@@ -117,10 +117,8 @@ def verify_plethysm_bridge(strip: HorizontalStrip) -> bool:
     coefficient by coefficient in the power-sum basis. In Q[q], A =
     (q-1)^n B holds exactly when A divides by (q-1)^n without remainder
     and the quotient is B, so no division is needed."""
-    if not strip.is_unicellular:
-        raise NotUnicellular(f"{strip.literal} has a row with more than one cell")
     n = strip.n
+    x = to_basis(chrom_quasisym(gamma_graph(strip), n), "p")
     left = plethystic_q_substitute(to_basis(llt_poly(strip, n), "p"))
     factor = (QPoly.q_power(1) - QPoly.one()) ** n
-    x = to_basis(chrom_quasisym(gamma_graph(strip), n), "p")
     return left == BasisExpansion("p", n, ((lam, c * factor) for lam, c in x.items()))

@@ -261,7 +261,7 @@ def _reported(body):
     return command
 
 
-@click.group()
+@click.group(context_settings={"terminal_width": 80})
 @click.version_option(version=__version__, prog_name="lltgraphs")
 def main():
     """Exact horizontal-strip polynomials, their weighted graphs, and checks."""

@@ -244,18 +244,17 @@ class SymFunc:
         """The number of monomials."""
         return sum(_orbit_size(_pad(lam, self.k)) for lam in self._coords)
 
+    def _key(self):
+        # zero has every degree, so it is keyed as degree 0
+        return self.k, self.degree if self._coords else 0, frozenset(self._coords.items())
+
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
-        if self.k != other.k:
-            return False
-        if self.is_zero and other.is_zero:
-            return True
-        return self.degree == other.degree and self._coords == other._coords
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.k, self.degree if self._coords else 0,
-                     frozenset(self._coords.items())))
+        return hash(self._key())
 
     def _check_k(self, other: "SymFunc"):
         if self.k != other.k:
@@ -512,7 +511,7 @@ class BasisExpansion:
         self._coeffs = _collect(coeffs, degree, degree)
 
     def coeff(self, lam) -> QPoly:
-        return self._coeffs.get(tuple(lam), QPoly.zero())
+        return self._coeffs.get(_check_partition(lam), QPoly.zero())
 
     def items(self):
         """(partition, QPoly) pairs in decreasing lexicographic order."""
@@ -522,19 +521,17 @@ class BasisExpansion:
     def is_zero(self) -> bool:
         return not self._coeffs
 
+    def _key(self):
+        # zero has every degree, so it is keyed as degree 0
+        return self.basis, self.degree if self._coeffs else 0, frozenset(self._coeffs.items())
+
     def __eq__(self, other):
         if not isinstance(other, BasisExpansion):
             return NotImplemented
-        return (
-            self.basis == other.basis
-            and (self.is_zero and other.is_zero or self.degree == other.degree)
-            and self._coeffs == other._coeffs
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        # zero expansions of any degree are equal, so zero hashes without it
-        return hash((self.basis, self.degree if self._coeffs else 0,
-                     frozenset(self._coeffs.items())))
+        return hash(self._key())
 
     def evaluate(self, k: int) -> SymFunc:
         """Expand back into a polynomial in k variables, in m-coordinates;

@@ -14,7 +14,7 @@ changes neither the order in which states are found nor their number.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -76,26 +76,25 @@ def find_minimal_ncp(strip: HorizontalStrip, i: int, j: int) -> Optional[tuple[i
     return tuple(chain)
 
 
-def _overfills(strip: HorizontalStrip, i: int, j: int) -> bool:
-    """Rows i and j together overlap some third row k in more cells than it
+def _crosses(strip: HorizontalStrip, i: int, j: int) -> bool:
+    """Rows i and j overlap partially (0 < m_ij < both sizes), or are
+    disjoint and together overlap some third row k in more cells than it
     holds: m_ik + m_jk > |R_k|."""
-    return any(
-        m_ij(strip, i, k) + m_ij(strip, j, k) > strip.row(k).size
-        for k in range(1, strip.n + 1)
-        if k not in (i, j)
-    )
+    m = m_ij(strip, i, j)
+    if m == 0:
+        return any(
+            m_ij(strip, i, k) + m_ij(strip, j, k) > strip.row(k).size
+            for k in range(1, strip.n + 1)
+            if k not in (i, j)
+        )
+    return m < min(strip.row(i).size, strip.row(j).size)
 
 
 def is_strict_pair(strip: HorizontalStrip, i: int, j: int) -> bool:
     """True when rows i < j with lo(R_i) < lo(R_j) either overlap partially
     (0 < m < both sizes) or are disjoint but jointly overfill a third row."""
     ri, rj = strip.row(i), strip.row(j)
-    if i >= j or ri.lo >= rj.lo:
-        return False
-    m = m_ij(strip, i, j)
-    if m == 0:
-        return _overfills(strip, i, j)
-    return m < min(ri.size, rj.size)
+    return i < j and ri.lo < rj.lo and _crosses(strip, i, j)
 
 
 def strict_pairs(strip: HorizontalStrip) -> list[tuple[int, int]]:
@@ -146,16 +145,10 @@ def strict_sequences(strip: HorizontalStrip) -> list[tuple[tuple[int, ...], int]
 
 def is_nesting(strip: HorizontalStrip) -> bool:
     """True when every row pair is disjoint or related by near-containment,
-    and no disjoint pair jointly overfills a third row."""
-    n = strip.n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if m_ij(strip, i, j) == 0:
-                if _overfills(strip, i, j):
-                    return False
-            elif not (prec(strip, i, j) or prec(strip, j, i)):
-                return False
-    return True
+    and no disjoint pair jointly overfills a third row. Since m_ij is at
+    most both sizes, a meeting pair is near-contained exactly when it does
+    not overlap partially, so this is: no pair crosses."""
+    return not any(_crosses(strip, i, j) for i, j in combinations(range(1, strip.n + 1), 2))
 
 
 def _classify_companions(strip: HorizontalStrip, i: int) -> tuple[set[int], set[int]]:

@@ -43,12 +43,10 @@ class WeightedGraph:
             raise ValueError("graph needs at least one vertex")
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError("edge matrix shape must match vertex count")
-        # one pass over the types; the named check runs only to report
-        if set(map(type, chain(self.weights, *self.matrix))) != {int}:
-            for w in self.weights:
-                _check_int(w, "vertex weight")
-            for w in chain(*self.matrix):
-                _check_int(w, "edge weight")
+        for w in self.weights:
+            _check_int(w, "vertex weight")
+        for w in chain(*self.matrix):
+            _check_int(w, "edge weight")
         if any(w < 1 for w in self.weights):
             raise ValueError("vertex weights must be positive")
         # a visit to (j, i) would repeat these checks once (i, j) is symmetric
@@ -141,9 +139,8 @@ def gamma_graph(strip: HorizontalStrip) -> WeightedGraph:
         raise NotUnicellular(f"{strip.literal} has a row with more than one cell")
     out = llt_input(strip)[1]
     order = sorted(range(strip.n), key=lambda i: (-strip.rows[i].lo, -i))
-    edges = [(a, b, 1) for a, c in enumerate(order, 1) for b, d in enumerate(order, 1)
-             if out[c] >> d & 1]
-    return WeightedGraph.from_edges((1,) * strip.n, edges)
+    return WeightedGraph((1,) * strip.n, tuple(
+        tuple((out[c] >> d | out[d] >> c) & 1 for d in order) for c in order))
 
 
 def is_isomorphic(g: WeightedGraph, h: WeightedGraph):
@@ -270,8 +267,6 @@ def predict_dc_graphs(g: WeightedGraph, i: int, j: int, mij: int):
     if i == j:
         raise IndexOutOfRange("need two distinct vertices")
     lo, hi = (i, j) if i < j else (j, i)
-    if not (1 <= lo and hi <= g.n):
-        raise IndexOutOfRange(f"vertex index not in 1..{g.n}")
     m = g.edge(lo, hi)
     if mij != m:
         raise PreconditionViolated(

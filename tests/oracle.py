@@ -404,3 +404,41 @@ def raw_strict_sequences(rows):
                     found.append((idx, h))
     found.sort()
     return found
+
+
+# ---- strict pairs and nesting from the raw definitions ----------------------
+
+def _size(row):
+    return row[1] - row[0] + 1
+
+
+def _overfill(rows, i, j):
+    """Rows i and j together meet some third row h in more than |R_h| cells."""
+    return any(
+        edge_weight(rows, i, h) + edge_weight(rows, j, h) > _size(rows[h - 1])
+        for h in range(1, len(rows) + 1)
+        if h not in (i, j)
+    )
+
+
+def raw_is_strict_pair(rows, i, j):
+    """i < j, row i starts left of row j, and the rows overlap partially or
+    are disjoint and overfill a third row."""
+    if not (i < j and rows[i - 1][0] < rows[j - 1][0]):
+        return False
+    m = edge_weight(rows, i, j)
+    if m == 0:
+        return _overfill(rows, i, j)
+    return m < min(_size(rows[i - 1]), _size(rows[j - 1]))
+
+
+def raw_is_nesting(rows):
+    """Every meeting pair has m equal to the size of one of its rows, and no
+    disjoint pair overfills a third row."""
+    for i, j in combinations(range(1, len(rows) + 1), 2):
+        m = edge_weight(rows, i, j)
+        if m == 0 and _overfill(rows, i, j):
+            return False
+        if m and m not in (_size(rows[i - 1]), _size(rows[j - 1])):
+            return False
+    return True

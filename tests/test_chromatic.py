@@ -246,7 +246,7 @@ def test_bridge_on_five_cell_pair():
 
 
 def test_bridge_requires_unicellular():
-    with pytest.raises(NotUnicellular):
+    with pytest.raises(NotUnicellular, match="^2/0,1/0 has a row with more than one cell$"):
         verify_plethysm_bridge(parse_strip("2/0,1/0"))
 
 

@@ -496,15 +496,34 @@ GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
 def test_cli_golden(name):
     """stdout, stderr and exit code of each case in cli_goldens.json, with
     click wrapping help at 80 columns; a text report's trailing elapsed_ms
-    line is left out. The console script caps help at 78 columns, so its
-    analyze, path-llt and verify --help differ; CI replays only the other
-    cases through it."""
+    line is left out."""
     case = GOLDENS[name]
     result = CliRunner().invoke(main, case["args"], prog_name="lltgraphs", terminal_width=80)
     lines = result.stdout.splitlines(keepends=True)
     if lines and lines[-1].startswith("elapsed_ms: "):
         lines.pop()
     assert ("".join(lines), result.stderr, result.exit_code) == (
+        case["stdout"], case["stderr"], case["exit_code"]
+    )
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("name", sorted(name for name in GOLDENS if name.endswith("-help")))
+def test_console_script_help_matches_golden_at_any_width(name, columns):
+    """The console script's entry point, run in a fresh process, prints the
+    golden help whatever COLUMNS says; CliRunner fixes the width itself, so
+    only a subprocess sees the terminal's."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, COLUMNS=columns,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    case = GOLDENS[name]
+    result = subprocess.run(
+        [sys.executable, "-c", "from lltgraphs.cli import main; main(prog_name='lltgraphs')",
+         *case["args"]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (result.stdout, result.stderr, result.returncode) == (
         case["stdout"], case["stderr"], case["exit_code"]
     )
 

@@ -101,6 +101,22 @@ def test_zero_expansions_of_different_degrees_hash_equal():
     assert len({a, b}) == 1
 
 
+def test_zero_symfuncs_of_different_degrees_hash_equal():
+    a, b = SymFunc(2, 2), SymFunc(2, 3)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert SymFunc(2, 2) != SymFunc(3, 2)
+
+
+def test_basis_expansion_coeff_reads_only_partitions():
+    exp = BasisExpansion("s", 3, {(2, 1): 1})
+    assert exp.coeff((2, 1)) == 1
+    assert exp.coeff((3,)).is_zero
+    with pytest.raises(ValueError, match=r"^partition must be weakly decreasing: \(1, 2\)$"):
+        exp.coeff((1, 2))
+
+
 @pytest.mark.parametrize(
     "coeffs", [{0: 2.7}, {0: 0.5}, {0: True}, {0: "1"}, {1.9: 1}, {True: 1}],
     ids=["float", "float-below-one", "bool", "str", "float-exponent", "bool-exponent"],

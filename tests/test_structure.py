@@ -42,7 +42,12 @@ from lltgraphs.strips import (
 from lltgraphs import structure
 
 from formulas import is_minimal_ncp, is_noncommuting_path
-from oracle import commutes as brute_commutes, raw_strict_sequences
+from oracle import (
+    commutes as brute_commutes,
+    raw_is_nesting,
+    raw_is_strict_pair,
+    raw_strict_sequences,
+)
 
 
 def strip_of(pairs):
@@ -498,6 +503,21 @@ def test_find_minimal_ncp_is_a_shortest_chain(strip):
             continue
         assert (p[0], p[-1]) == (i, j) and len(p) == want, (strip.literal, i, j)
         assert is_minimal_ncp(strip, p)
+
+
+@settings(max_examples=400)
+@given(strip=small_strips())
+@example(strip=parse_strip("1/0,5/4"))  # disjoint with slack: nesting
+@example(strip=parse_strip("6/1,12/6,8/4"))  # disjoint, overfilling the third row
+@example(strip=parse_strip("3/0,4/1,4/0"))  # partial overlap
+def test_strict_pairs_and_nesting_match_raw_definitions(strip):
+    rows = [(r.lo, r.hi) for r in strip.rows]
+    pairs = [(i, j) for i in range(1, strip.n + 1) for j in range(1, strip.n + 1) if i != j]
+    assert [is_strict_pair(strip, i, j) for i, j in pairs] == [
+        raw_is_strict_pair(rows, i, j) for i, j in pairs
+    ], strip.literal
+    assert strict_pairs(strip) == [(i, j) for i, j in pairs if raw_is_strict_pair(rows, i, j)]
+    assert is_nesting(strip) == raw_is_nesting(rows), strip.literal
 
 
 @settings(max_examples=400)

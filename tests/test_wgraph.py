@@ -149,8 +149,11 @@ def test_predict_dc_graphs_preconditions():
     g = pi_graph(parse_strip("3/0,5/2"))
     with pytest.raises(PreconditionViolated):
         predict_dc_graphs(g, 1, 2, 2)  # wrong stated weight
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match="^need two distinct vertices$"):
         predict_dc_graphs(g, 1, 1, 0)
+    for i, j in ((0, 1), (1, 3), (3, 1)):
+        with pytest.raises(IndexOutOfRange, match=r"^vertex index not in 1\.\.2$"):
+            predict_dc_graphs(g, i, j, 0)
     full = WeightedGraph.from_edges((2, 2), [(1, 2, 2)])
     with pytest.raises(PreconditionViolated):
         predict_dc_graphs(full, 1, 2, 2)  # edge not below both weights
