@@ -22,7 +22,7 @@ from . import compositions as comps
 from .chromatic import chrom_quasisym, extended_chromatic, path_llt_h_expansion
 from .errors import ParseError, PreconditionError, PreconditionViolated
 from .llt import llt_input, llt_of_input, llt_poly, row_components
-from .qsymfunc import BasisExpansion, SymFunc, to_basis
+from .qsymfunc import BasisExpansion, SymFunc, _check_int, to_basis
 from .strips import HorizontalStrip, Row, parse_strip, strip_of_composition
 from .structure import (
     find_minimal_ncp,
@@ -64,7 +64,9 @@ def sweep_family(
     index without listing the others; any larger sample takes the whole
     family. A family of more than sys.maxsize strips cannot be sampled,
     which raises PreconditionViolated."""
-    if sample is not None and sample < 1:
+    for bound in (max_rows, max_len, max_offset):
+        _check_int(bound, "family bound")
+    if sample is not None and _check_int(sample, "sample") < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
     choices = [
         Row(lo, lo + length - 1)

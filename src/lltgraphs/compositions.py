@@ -11,11 +11,15 @@ chromatic functions.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 from .errors import ParseError
 
 Composition = tuple[int, ...]
+
+# an integer in a CLI literal: ASCII digits after an optional minus sign
+_INT_LITERAL = "-?[0-9]+"
 
 
 def as_composition(parts) -> Composition:
@@ -34,13 +38,9 @@ def as_composition(parts) -> Composition:
 def parse_composition(text: str) -> Composition:
     """Parse a comma-separated literal such as "2,1,2,3,1"."""
     pieces = [p.strip() for p in text.split(",")]
-    if any(not p for p in pieces):
+    if not all(re.fullmatch(_INT_LITERAL, p) for p in pieces):
         raise ParseError(f"bad composition literal: {text!r}")
-    try:
-        parts = [int(p) for p in pieces]
-    except ValueError:
-        raise ParseError(f"bad composition literal: {text!r}") from None
-    return as_composition(parts)
+    return as_composition([int(p) for p in pieces])
 
 
 def format_composition(alpha: Composition) -> str:

@@ -101,11 +101,8 @@ class QPoly:
         return bool(self._coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, QPoly):
-            return self._coeffs == other._coeffs
-        if _exact(other):
-            return self == QPoly.constant(other)
-        return NotImplemented
+        other = _as_qpoly(other)
+        return other if other is NotImplemented else self._coeffs == other._coeffs
 
     def __hash__(self):
         # a constant equals its number, so it hashes as that number
@@ -114,14 +111,10 @@ class QPoly:
         return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other):
-        if not isinstance(other, QPoly):
-            if not _exact(other):
-                return NotImplemented
-            other = QPoly.constant(other)
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return QPoly(out)
+        other = _as_qpoly(other)
+        if other is NotImplemented:
+            return other
+        return QPoly([*self._coeffs.items(), *other._coeffs.items()])
 
     __radd__ = __add__
 
@@ -129,24 +122,18 @@ class QPoly:
         return QPoly({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, QPoly) or _exact(other):
-            return self + -other
-        return NotImplemented
+        other = _as_qpoly(other)
+        return other if other is NotImplemented else self + -other
 
     def __rsub__(self, other):
         return -self + other if _exact(other) else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, QPoly):
-            out: dict[int, object] = {}
-            for e1, c1 in self._coeffs.items():
-                for e2, c2 in other._coeffs.items():
-                    e = e1 + e2
-                    out[e] = out.get(e, 0) + c1 * c2
-            return QPoly(out)
-        if _exact(other):
-            return QPoly({e: c * other for e, c in self._coeffs.items()})
-        return NotImplemented
+        other = _as_qpoly(other)
+        if other is NotImplemented:
+            return other
+        return QPoly([(e1 + e2, c1 * c2) for e1, c1 in self._coeffs.items()
+                      for e2, c2 in other._coeffs.items()])
 
     __rmul__ = __mul__
 
@@ -181,6 +168,14 @@ class QPoly:
     __repr__ = __str__
 
 
+def _as_qpoly(x):
+    """x as a QPoly: a QPoly itself, an int or a Fraction as a constant,
+    anything else NotImplemented."""
+    if isinstance(x, QPoly):
+        return x
+    return QPoly.constant(x) if _exact(x) else NotImplemented
+
+
 def _orbit_size(exps: tuple[int, ...]) -> int:
     size = factorial(len(exps))
     for m in Counter(exps).values():
@@ -188,7 +183,37 @@ def _orbit_size(exps: tuple[int, ...]) -> int:
     return size
 
 
-class SymFunc:
+class _CoeffMap:
+    """A map from partitions to nonzero QPoly coefficients in one degree,
+    equal only to one of the same class with the same tag, _tag(), which
+    says what the partitions index. __str__ joins _named_terms(), the
+    (name, coefficient) pairs in display order."""
+
+    __slots__ = ("degree", "_coeffs")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def _key(self):
+        # zero has every degree, so it is keyed as degree 0
+        return self._tag(), self.degree if self._coeffs else 0, frozenset(self._coeffs.items())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __str__(self):
+        return " + ".join(f"({c})*{name}" for name, c in self._named_terms()) or "0"
+
+    __repr__ = __str__
+
+
+class SymFunc(_CoeffMap):
     """Symmetric homogeneous polynomial in x_1..x_k with QPoly coefficients.
 
     Stored by its m-coordinates: the coefficient of x^lam for each
@@ -199,7 +224,7 @@ class SymFunc:
     demand; nothing else lists them.
     """
 
-    __slots__ = ("k", "degree", "_coords")
+    __slots__ = ("k",)
 
     def __init__(self, k: int, degree: int, coords=None):
         """The polynomial with coefficient c on x^lam, and so on every
@@ -211,7 +236,7 @@ class SymFunc:
             raise ValueError("need at least one variable")
         self.k = k
         self.degree = degree
-        self._coords = _collect(coords, degree, k)
+        self._coeffs = _collect(coords, degree, k)
 
     @classmethod
     def _of_counts(cls, k: int, degree: int, counts: dict) -> "SymFunc":
@@ -220,41 +245,28 @@ class SymFunc:
         f = object.__new__(cls)
         f.k = k
         f.degree = degree
-        f._coords = {lam: QPoly._of_counts(c) for lam, c in counts.items() if c}
+        f._coeffs = {lam: QPoly._of_counts(c) for lam, c in counts.items() if c}
         return f
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._coords
+    def _tag(self):
+        return self.k
 
     def coeff(self, exps) -> QPoly:
         exps = tuple(exps)
         if len(exps) != self.k:
             return QPoly.zero()
-        return self._coords.get(_partition(exps), QPoly.zero())
+        return self._coeffs.get(_partition(exps), QPoly.zero())
 
     def terms(self):
         """(exponent vector, QPoly) pairs in decreasing lexicographic order,
         every rearrangement of each stored partition listed."""
-        spread = [(exps, c) for lam, c in self._coords.items()
+        spread = [(exps, c) for lam, c in self._coeffs.items()
                   for exps in _distinct_permutations(_pad(lam, self.k))]
         return sorted(spread, key=lambda term: term[0], reverse=True)
 
     def __len__(self):
         """The number of monomials."""
-        return sum(_orbit_size(_pad(lam, self.k)) for lam in self._coords)
-
-    def _key(self):
-        # zero has every degree, so it is keyed as degree 0
-        return self.k, self.degree if self._coords else 0, frozenset(self._coords.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        return sum(_orbit_size(_pad(lam, self.k)) for lam in self._coeffs)
 
     def _check_k(self, other: "SymFunc"):
         if self.k != other.k:
@@ -272,20 +284,15 @@ class SymFunc:
             return self
         if self.degree != other.degree:
             raise ValueError("cannot add polynomials of different degrees")
-        coords = list(self._coords.items()) + list(other._coords.items())
-        return SymFunc(self.k, self.degree, coords)
+        return SymFunc(self.k, self.degree, [*self._coeffs.items(), *other._coeffs.items()])
 
     def __sub__(self, other):
         return self + (other * QPoly.constant(-1))
 
     def __mul__(self, other):
-        if _exact(other):
-            other = QPoly.constant(other)
-        if isinstance(other, QPoly):
-            return SymFunc(
-                self.k, self.degree,
-                ((lam, c * other) for lam, c in self._coords.items()),
-            )
+        if (scalar := _as_qpoly(other)) is not NotImplemented:
+            return SymFunc(self.k, self.degree,
+                           ((lam, c * scalar) for lam, c in self._coeffs.items()))
         if not isinstance(other, SymFunc):
             return NotImplemented
         self._check_k(other)
@@ -296,23 +303,14 @@ class SymFunc:
         return SymFunc(self.k, degree, (
             (lam, c * d) for lam in partitions_of(degree, max_len=self.k)
             for exps, c in spread
-            if (d := other._coords.get(_partition(map(sub, _pad(lam, self.k), exps))))))
+            if (d := other._coeffs.get(_partition(map(sub, _pad(lam, self.k), exps))))))
 
     __rmul__ = __mul__
 
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        bits = []
+    def _named_terms(self):
         for e, c in self.terms():
-            mono = "".join(
-                f"x{i+1}" + (f"^{p}" if p > 1 else "")
-                for i, p in enumerate(e) if p
-            ) or "1"
-            bits.append(f"({c})*{mono}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+            yield "".join(f"x{i+1}" + (f"^{p}" if p > 1 else "")
+                          for i, p in enumerate(e) if p) or "1", c
 
 
 def partitions_of(n: int, max_len=None) -> list:
@@ -498,10 +496,10 @@ def eval_basis(basis: str, lam, k: int) -> SymFunc:
     return BasisExpansion(basis, sum(lam), {lam: 1}).evaluate(k)
 
 
-class BasisExpansion:
+class BasisExpansion(_CoeffMap):
     """Coefficients of a symmetric polynomial against a named basis."""
 
-    __slots__ = ("basis", "degree", "_coeffs")
+    __slots__ = ("basis",)
 
     def __init__(self, basis: str, degree: int, coeffs=None):
         if basis not in BASES:
@@ -517,21 +515,8 @@ class BasisExpansion:
         """(partition, QPoly) pairs in decreasing lexicographic order."""
         return [(lam, self._coeffs[lam]) for lam in sorted(self._coeffs, reverse=True)]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def _key(self):
-        # zero has every degree, so it is keyed as degree 0
-        return self.basis, self.degree if self._coeffs else 0, frozenset(self._coeffs.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, BasisExpansion):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    def _tag(self):
+        return self.basis
 
     def evaluate(self, k: int) -> SymFunc:
         """Expand back into a polynomial in k variables, in m-coordinates;
@@ -569,16 +554,9 @@ class BasisExpansion:
         return SymFunc(k, self.degree, _solve(
             order, coeffs, lambda mu: _antisymmetrised(mu).get).items())
 
-    def __str__(self):
-        if not self._coeffs:
-            return "0"
-        bits = []
+    def _named_terms(self):
         for lam, c in self.items():
-            name = f"{self.basis}{''.join(str(p) for p in lam) if lam else '()'}"
-            bits.append(f"({c})*{name}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+            yield f"{self.basis}{''.join(str(p) for p in lam) if lam else '()'}", c
 
 
 def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
@@ -608,7 +586,7 @@ def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
             f"{f.degree} variables, got {f.k}"
         )
     parts = list(partitions_of(f.degree, max_len=f.k))
-    coords = f._coords
+    coords = f._coeffs
     coeffs: dict[tuple[int, ...], QPoly] = {}
     if basis == "m":
         coeffs = {mu: coords[mu] for mu in parts if mu in coords}

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .compositions import _INT_LITERAL
 from .errors import (
     IndexOutOfRange,
     NonCommutingSwap,
@@ -80,7 +81,7 @@ class HorizontalStrip:
 
     def row(self, i: int) -> Row:
         """1-based row access."""
-        if not 1 <= i <= self.n:
+        if not 1 <= _check_int(i, "row index") <= self.n:
             raise IndexOutOfRange(f"row index {i} not in 1..{self.n}")
         return self.rows[i - 1]
 
@@ -92,11 +93,11 @@ class HorizontalStrip:
         return self.literal
 
 
-_ROW_RE = re.compile(r"^(-?\d+)/(-?\d+)$")
+_ROW_RE = re.compile(f"({_INT_LITERAL})/({_INT_LITERAL})")
 
 
 def parse_row(text: str) -> Row:
-    m = _ROW_RE.match(text.strip())
+    m = _ROW_RE.fullmatch(text.strip())
     if not m:
         raise ParseError(f"bad row literal {text!r} (want a/b)")
     a, b = int(m.group(1)), int(m.group(2))
@@ -112,19 +113,14 @@ def parse_strip(text: str) -> HorizontalStrip:
     return HorizontalStrip(tuple(parse_row(p) for p in pieces))
 
 
-def _overlap(r: Row, s: Row) -> int:
-    return max(0, min(r.hi, s.hi) - max(r.lo, s.lo) + 1)
-
-
 def m_pair(r: Row, s: Row) -> int:
     """Pairing of an ordered row pair, r carrying the earlier index.
 
     When r starts at or left of s this is the plain overlap; otherwise s
     is shifted right by one before intersecting.
     """
-    if r.lo <= s.lo:
-        return _overlap(r, s)
-    return _overlap(r, s.shifted(1))
+    d = 1 if r.lo > s.lo else 0
+    return max(0, min(r.hi, s.hi + d) - max(r.lo, s.lo + d) + 1)
 
 
 def m_ij(strip: HorizontalStrip, i: int, j: int) -> int:

@@ -25,6 +25,7 @@ from .errors import (
     PreconditionViolated,
     WitnessReplayFailed,
 )
+from .qsymfunc import _check_int
 from .strips import (
     HorizontalStrip,
     Row,
@@ -333,7 +334,7 @@ def similarity_witness(
     order as when every move is offered.  Returns None when the budget runs
     out -- absence proves nothing.
     """
-    if budget < 1:
+    if _check_int(budget, "state budget") < 1:
         raise PreconditionViolated(f"the state budget must be at least 1, got {budget}")
     if canonical_form(pi_graph(lam)) != canonical_form(pi_graph(mu)):
         raise GraphsNotIsomorphic("the two strips' weighted graphs are not isomorphic")

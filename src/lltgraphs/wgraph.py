@@ -70,7 +70,8 @@ class WeightedGraph:
 
     def edge(self, i: int, j: int) -> int:
         """1-based edge weight."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
+        if not (1 <= _check_int(i, "vertex index") <= self.n
+                and 1 <= _check_int(j, "vertex index") <= self.n):
             raise IndexOutOfRange(f"vertex index not in 1..{self.n}")
         return self.matrix[i - 1][j - 1]
 
@@ -308,7 +309,7 @@ def realize(g: WeightedGraph, bound: int | None = None):
     """
     if bound is None:
         bound = sum(g.weights)
-    if bound < 0:
+    if _check_int(bound, "offset bound") < 0:
         raise ValueError("bound must be nonnegative")
     offsets = list(range(0, bound + 1)) + list(range(-1, -bound - 1, -1))
     placed: list[tuple[int, Row]] = []

@@ -19,7 +19,7 @@ def test_parse_and_format_round_trip():
         assert format_composition(parse_composition(text)) == text
 
 
-@pytest.mark.parametrize("bad", ["", "0", "1,0,2", "-1", "1,,2", "a,b", "1 2"])
+@pytest.mark.parametrize("bad", ["", "0", "1,0,2", "-1", "1,,2", "a,b", "1 2", "1_0", "+2", "\u0663"])
 def test_parse_rejects_nonpositive_and_garbage(bad):
     with pytest.raises(ParseError):
         parse_composition(bad)

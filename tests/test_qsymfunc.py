@@ -99,6 +99,7 @@ def test_zero_expansions_of_different_degrees_hash_equal():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    assert BasisExpansion("s", 2) != BasisExpansion("h", 2)
 
 
 def test_zero_symfuncs_of_different_degrees_hash_equal():
@@ -107,6 +108,24 @@ def test_zero_symfuncs_of_different_degrees_hash_equal():
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
     assert SymFunc(2, 2) != SymFunc(3, 2)
+
+
+@pytest.mark.parametrize("coeffs", [{}, {(2,): 1, (1, 1): QPoly({1: 3})}], ids=["zero", "nonzero"])
+def test_a_symfunc_never_equals_an_expansion(coeffs):
+    f, exp = SymFunc(2, 2, coeffs), BasisExpansion("m", 2, coeffs)
+    assert not f == exp and not exp == f
+    assert f != exp and exp != f
+
+
+def test_zero_of_either_coefficient_map_prints_as_0():
+    for zero in (SymFunc(2, 3), BasisExpansion("s", 3), BasisExpansion("p", 0)):
+        assert str(zero) == repr(zero) == "0"
+
+
+def test_exact_values_have_no_instance_dict():
+    """Sweep memo keys hold these by the thousand, so each uses slots only."""
+    values = (QPoly({1: 2}), SymFunc(2, 2, {(2,): 1}), BasisExpansion("h", 2, {(1, 1): 1}))
+    assert [type(v).__name__ for v in values if hasattr(v, "__dict__")] == []
 
 
 def test_basis_expansion_coeff_reads_only_partitions():

@@ -36,6 +36,18 @@ def test_library_has_no_float_literals():
     assert found == []
 
 
+def test_only_qsymfunc_reads_coefficient_maps():
+    """QPoly, SymFunc and BasisExpansion keep their coefficient maps to
+    qsymfunc.py; other modules read them through coeff, items and terms."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _library_nodes()
+        if path.name != "qsymfunc.py" and isinstance(node, ast.Attribute)
+        and node.attr in ("_coeffs", "_coords")
+    ]
+    assert found == []
+
+
 # Public module-level names, and public methods as Class.name, that nothing
 # in the library calls yet, each with the ROADMAP item or benchmark file
 # that will call it. Anything else public must have a caller in the

@@ -41,7 +41,7 @@ def test_parse_running_example(lam):
     assert lam.literal == RUNNING
 
 
-@pytest.mark.parametrize("bad", ["", "4/4", "3/5", "4-0", "4/0,", "x/y", "4/0 5/4"])
+@pytest.mark.parametrize("bad", ["", "4/4", "3/5", "4-0", "4/0,", "x/y", "4/0 5/4", "\u0663/0"])
 def test_parse_rejects_bad_literals(bad):
     with pytest.raises(ParseError):
         parse_strip(bad)

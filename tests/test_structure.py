@@ -1,3 +1,4 @@
+import re
 import random
 from collections import deque
 from itertools import combinations
@@ -18,10 +19,12 @@ from lltgraphs import (
     parse_strip,
     pi_graph,
     prec,
+    realize,
     similarity_witness,
     strict_pairs,
     strict_sequences,
 )
+from lltgraphs.cli import sweep_family
 from lltgraphs.errors import (
     BlockNotSeparable,
     GraphsNotIsomorphic,
@@ -759,4 +762,32 @@ def test_fixed_pairs_match_the_reference_bfs(source, target):
 )
 def test_error_paths(call, error):
     with pytest.raises(error):
+        call()
+
+
+SMALL = parse_strip("2/0,3/1,5/3")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: similarity_witness(SMALL, cycle(SMALL), budget=True), "state budget True"),
+        (lambda: similarity_witness(SMALL, cycle(SMALL), budget=2.5), "state budget 2.5"),
+        (lambda: realize(pi_graph(SMALL), True), "offset bound True"),
+        (lambda: realize(pi_graph(SMALL), 3.0), "offset bound 3.0"),
+        (lambda: sweep_family(True, 1, 0), "family bound True"),
+        (lambda: sweep_family(2, 1.0, 0), "family bound 1.0"),
+        (lambda: sweep_family(2, 1, 0.0), "family bound 0.0"),
+        (lambda: sweep_family(2, 1, 1, sample=True), "sample True"),
+        (lambda: SMALL.row(True), "row index True"),
+        (lambda: pi_graph(SMALL).edge(True, 2), "vertex index True"),
+        (lambda: pi_graph(SMALL).edge(1, 2.0), "vertex index 2.0"),
+    ],
+    ids=["budget-bool", "budget-float", "bound-bool", "bound-float", "rows-bool",
+         "len-float", "offset-float", "sample-bool", "row-bool", "edge-bool", "edge-float"],
+)
+def test_counts_and_indices_refuse_bools_and_floats(call, message):
+    """A bool is not taken as 1, nor a float used as it is: each is a
+    TypeError naming the argument."""
+    with pytest.raises(TypeError, match=f"^{re.escape(message)} is not an int$"):
         call()
