@@ -11,15 +11,12 @@ chromatic functions.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 
 from .errors import ParseError
+from .qsymfunc import _INT_RE
 
 Composition = tuple[int, ...]
-
-# an integer in a CLI literal: ASCII digits after an optional minus sign
-_INT_LITERAL = "-?[0-9]+"
 
 
 def as_composition(parts) -> Composition:
@@ -38,7 +35,7 @@ def as_composition(parts) -> Composition:
 def parse_composition(text: str) -> Composition:
     """Parse a comma-separated literal such as "2,1,2,3,1"."""
     pieces = [p.strip() for p in text.split(",")]
-    if not all(re.fullmatch(_INT_LITERAL, p) for p in pieces):
+    if not all(_INT_RE.fullmatch(p) for p in pieces):
         raise ParseError(f"bad composition literal: {text!r}")
     return as_composition([int(p) for p in pieces])
 

@@ -15,6 +15,7 @@ into p and back from s, h and e, is the one triangular solve _solve.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -27,6 +28,7 @@ from .errors import (
 )
 
 BASES = ("m", "s", "h", "e", "p")
+_INT_RE = re.compile("-?[0-9]+")  # an integer literal: ASCII digits, an optional minus
 
 
 def _exact(x) -> bool:
@@ -34,8 +36,14 @@ def _exact(x) -> bool:
     return type(x) in (int, Fraction)
 
 
-def _norm_coeff(c):
-    return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+def _summed(pairs) -> dict:
+    """The map exponent -> coefficient of unchecked (exponent, coefficient) pairs,
+    each exponent's coefficients summed, zeros dropped, whole Fractions made ints."""
+    data: dict[int, object] = {}
+    for e, c in pairs:
+        data[e] = data[e] + c if e in data else c
+    return {e: int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+            for e, c in data.items() if c != 0}
 
 
 class QPoly:
@@ -51,20 +59,17 @@ class QPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
-        data: dict[int, object] = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for e, c in items:
-                if _check_int(e, "q-exponent") < 0:
-                    raise ValueError(f"negative q-exponent {e}")
-                if not _exact(c):
-                    raise TypeError(f"q-coefficient {c!r} is not an int or a Fraction")
-                data[e] = data.get(e, 0) + c
-        self._coeffs = {e: _norm_coeff(c) for e, c in data.items() if c != 0}
+        items = coeffs.items() if isinstance(coeffs, dict) else list(coeffs or ())
+        for e, c in items:
+            if _check_int(e, "q-exponent") < 0:
+                raise ValueError(f"negative q-exponent {e}")
+            if not _exact(c):
+                raise TypeError(f"q-coefficient {c!r} is not an int or a Fraction")
+        self._coeffs = _summed(items)
 
     @classmethod
-    def _of_counts(cls, counts: dict[int, int]) -> "QPoly":
-        """The map exponent -> positive int count, unchecked and not copied."""
+    def _of_counts(cls, counts: dict) -> "QPoly":
+        """The map exponent -> nonzero coefficient, unchecked and not copied."""
         poly = object.__new__(cls)
         poly._coeffs = counts
         return poly
@@ -111,10 +116,9 @@ class QPoly:
         return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other):
-        other = _as_qpoly(other)
-        if other is NotImplemented:
+        if (other := _as_qpoly(other)) is NotImplemented:
             return other
-        return QPoly([*self._coeffs.items(), *other._coeffs.items()])
+        return QPoly._of_counts(_summed([*self._coeffs.items(), *other._coeffs.items()]))
 
     __radd__ = __add__
 
@@ -129,11 +133,10 @@ class QPoly:
         return -self + other if _exact(other) else NotImplemented
 
     def __mul__(self, other):
-        other = _as_qpoly(other)
-        if other is NotImplemented:
+        if (other := _as_qpoly(other)) is NotImplemented:
             return other
-        return QPoly([(e1 + e2, c1 * c2) for e1, c1 in self._coeffs.items()
-                      for e2, c2 in other._coeffs.items()])
+        return QPoly._of_counts(_summed([(e1 + e2, c1 * c2) for e1, c1 in self._coeffs.items()
+                                         for e2, c2 in other._coeffs.items()]))
 
     __rmul__ = __mul__
 
@@ -169,11 +172,10 @@ class QPoly:
 
 
 def _as_qpoly(x):
-    """x as a QPoly: a QPoly itself, an int or a Fraction as a constant,
-    anything else NotImplemented."""
+    """x as a QPoly, an int or a Fraction as a constant; else NotImplemented."""
     if isinstance(x, QPoly):
         return x
-    return QPoly.constant(x) if _exact(x) else NotImplemented
+    return QPoly._of_counts(_summed([(0, x)])) if _exact(x) else NotImplemented
 
 
 def _orbit_size(exps: tuple[int, ...]) -> int:
@@ -200,9 +202,7 @@ class _CoeffMap:
         return self._tag(), self.degree if self._coeffs else 0, frozenset(self._coeffs.items())
 
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
         return hash(self._key())
@@ -231,11 +231,10 @@ class SymFunc(_CoeffMap):
         rearrangement, for each (partition lam, c) pair; each lam sums to
         degree and has at most k parts, and pairs on one lam add up."""
         _check_int(k, "variable count")
-        _check_int(degree, "degree")
+        self.degree = _check_int(degree, "degree")
         if k < 1:
             raise ValueError("need at least one variable")
         self.k = k
-        self.degree = degree
         self._coeffs = _collect(coords, degree, k)
 
     @classmethod

@@ -15,17 +15,15 @@ dc_triple, and the path strip of a composition.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .compositions import _INT_LITERAL
 from .errors import (
     IndexOutOfRange,
     NonCommutingSwap,
     ParseError,
     PreconditionViolated,
 )
-from .qsymfunc import _check_int
+from .qsymfunc import _INT_RE, _check_int
 
 
 @dataclass(frozen=True, order=True)
@@ -93,14 +91,11 @@ class HorizontalStrip:
         return self.literal
 
 
-_ROW_RE = re.compile(f"({_INT_LITERAL})/({_INT_LITERAL})")
-
-
 def parse_row(text: str) -> Row:
-    m = _ROW_RE.fullmatch(text.strip())
-    if not m:
+    pieces = text.strip().split("/")
+    if len(pieces) != 2 or not all(_INT_RE.fullmatch(p) for p in pieces):
         raise ParseError(f"bad row literal {text!r} (want a/b)")
-    a, b = int(m.group(1)), int(m.group(2))
+    a, b = map(int, pieces)
     if a <= b:
         raise ParseError(f"bad row literal {text!r}: need a > b")
     return Row(lo=b, hi=a - 1)

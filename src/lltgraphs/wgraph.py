@@ -70,8 +70,8 @@ class WeightedGraph:
 
     def edge(self, i: int, j: int) -> int:
         """1-based edge weight."""
-        if not (1 <= _check_int(i, "vertex index") <= self.n
-                and 1 <= _check_int(j, "vertex index") <= self.n):
+        i, j = _check_int(i, "vertex index"), _check_int(j, "vertex index")
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexOutOfRange(f"vertex index not in 1..{self.n}")
         return self.matrix[i - 1][j - 1]
 

@@ -782,9 +782,11 @@ SMALL = parse_strip("2/0,3/1,5/3")
         (lambda: SMALL.row(True), "row index True"),
         (lambda: pi_graph(SMALL).edge(True, 2), "vertex index True"),
         (lambda: pi_graph(SMALL).edge(1, 2.0), "vertex index 2.0"),
+        (lambda: pi_graph(SMALL).edge(9, 2.0), "vertex index 2.0"),
     ],
     ids=["budget-bool", "budget-float", "bound-bool", "bound-float", "rows-bool",
-         "len-float", "offset-float", "sample-bool", "row-bool", "edge-bool", "edge-float"],
+         "len-float", "offset-float", "sample-bool", "row-bool", "edge-bool", "edge-float",
+         "edge-float-beside-out-of-range"],
 )
 def test_counts_and_indices_refuse_bools_and_floats(call, message):
     """A bool is not taken as 1, nor a float used as it is: each is a
