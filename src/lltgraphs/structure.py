@@ -6,9 +6,13 @@ the polynomial, and a bounded breadth-first search for a move sequence
 relating two strips.
 
 The search's states are flat (lo1, hi1, lo2, hi2, ...) row tuples at
-minimum content 0.  A state is not offered the rotate or commute_swap that
-reached it, an involution leading back to its parent, so leaving it out
-changes neither the order in which states are found nor their number.
+minimum content 0.  A state is not offered a move whose result is already
+found: the rotate or commute_swap that reached it, an involution leading
+back to its parent, and after a commute_swap t the rotate, the cycle when
+t >= 2 and each commute_swap u <= t-2, whose results a commutation identity
+places among the states found from its parent's earlier moves.  Leaving
+them out changes neither the order in which states are found nor their
+parents; _neighbours argues why.
 """
 
 from __future__ import annotations
@@ -265,26 +269,50 @@ def _neighbours(state: State, back: Optional[Move] = None) -> Iterable[tuple[Mov
     only where row t starts in the column after row t-1 ends, and only
     when the caller reaches it, so a search never builds one past its stop.
 
-    `back` is the move that reached `state`.  When it is ("rotate", 0) or a
-    ("commute_swap", t), that move is left out: both are involutions on
-    normalised states, so it would only lead back to the parent.  The other
-    moves keep their order.
+    `back` is the move that reached `state` from its parent P.  The moves
+    whose results are already found are left out, and the others keep
+    their order.  When `back` is ("rotate", 0) or ("commute_swap", t), that
+    move is left out: both are involutions on normalised states, so it
+    only leads back to P.  When `back` is ("commute_swap", t) on n rows,
+    so that state = swap_t(P), three more are left out:
+
+    A. rotate 0, since rotate(swap_t(P)) = swap_{n-t}(rotate(P));
+    B. cycle when t >= 2, since cycle(swap_t(P)) = swap_{t-1}(cycle(P));
+    C. commute_swap u for u <= t-2, since swaps of disjoint row pairs
+       commute: swap_u(swap_t(P)) = swap_t(swap_u(P)).
+
+    Reversing or cycling the rows keeps whether two rows commute, so each
+    right-hand swap is allowed.  Its inner state Q (rotate(P), cycle(P) or
+    swap_u(P)) comes before swap_t in P's list, so a breadth-first search
+    finds Q before `state` and takes Q from its queue first.  Q offers the
+    outer swap too, unless Q was itself reached by that swap, when the
+    result is Q's parent, or skips it by rule C, when the result is found
+    by induction on the order in which states leave the queue.  Q may also
+    be found without being offered, by these rules at P, and the same
+    induction covers it.  So every state left out here is already found
+    when `state` is expanded, and the search finds the same states, in the
+    same order and from the same parents, as when every move is offered.
     """
-    lo, hi = state[0], state[1]
-    # the cycled row drops by one, so the minimum falls to -1 when it held 0
-    if lo == 0:
-        cycled = tuple([x + 1 for x in state[2:]]) + (0, hi)
-    else:
-        cycled = state[2:] + (lo - 1, hi - 1)
-    found = [(("cycle",), cycled)]
-    if back != ("rotate", 0):
+    swapped = back[1] if back is not None and back[0] == "commute_swap" else 0
+    found = []
+    if swapped < 2:
+        lo, hi = state[0], state[1]
+        # the cycled row drops by one, so the minimum falls to -1 when it held 0
+        if lo == 0:
+            cycled = tuple([x + 1 for x in state[2:]]) + (0, hi)
+        else:
+            cycled = state[2:] + (lo - 1, hi - 1)
+        found.append((("cycle",), cycled))
+    if not swapped and back != ("rotate", 0):
         # reflecting through the top content maps the reversed flat tuple
         # (hi_n, lo_n, ...) onto the rotated rows (top - hi_n, top - lo_n, ...)
         top = max(state[1::2])
         found.append((("rotate", 0), tuple([top - x for x in reversed(state)])))
-    skip = back[1] if back is not None and back[0] == "commute_swap" else 0
     n2 = len(state)
-    for j in range(2, n2, 2):
+    for j in range(2 * max(swapped - 1, 1), n2, 2):
+        t = j // 2
+        if t == swapped:
+            continue
         a, b, c, d = state[j - 2 : j + 2]
         # commutes(): with one row starting strictly left of the other, the
         # pairing shifts it right by one in one order only, which changes
@@ -295,10 +323,7 @@ def _neighbours(state: State, back: Optional[Move] = None) -> Iterable[tuple[Mov
                 continue
         elif a > c and b > d and d + 2 > a:
             continue
-        t = j // 2
-        if t != skip:
-            swapped = state[: j - 2] + (c, d, a, b) + state[j + 2 :]
-            found.append((("commute_swap", t), swapped))
+        found.append((("commute_swap", t), state[: j - 2] + (c, d, a, b) + state[j + 2 :]))
     for j in range(2, n2, 2):
         if state[j] == state[j - 1] + 1:
             return chain(found, _local_rotations(state, j))
@@ -320,6 +345,26 @@ def _local_rotations(state: State, first: int) -> Iterator[tuple[Move, State]]:
         yield ("local_rotate", t), _state(rotated)
 
 
+def _search(start: State, goal: State, budget: int) -> dict[State, Optional[State]]:
+    """Breadth-first search from `start` over _neighbours, stopping at
+    `goal` or once `budget` states are found.  Returns each found state's
+    parent state (None for `start`), in the order the states were found."""
+    parent: dict[State, Optional[State]] = {start: None}
+    # the queue keeps the move that reached each state, for _neighbours
+    frontier = deque([(start, None)] if start != goal else [])
+    while frontier:
+        node, back = frontier.popleft()
+        for move, nxt in _neighbours(node, back):
+            if nxt in parent:
+                continue
+            parent[nxt] = node
+            if nxt == goal or len(parent) >= budget:
+                frontier.clear()
+                break
+            frontier.append((nxt, move))
+    return parent
+
+
 def similarity_witness(
     lam: HorizontalStrip, mu: HorizontalStrip, budget: int = 100_000
 ) -> Optional[list[Move]]:
@@ -329,10 +374,10 @@ def similarity_witness(
     and ("local_rotate", i).  The search runs over states that are the rows
     as one flat (lo1, hi1, lo2, hi2, ...) tuple shifted to minimum content 0;
     it stops after `budget` distinct states, which must be at least 1.  No
-    state is offered the rotate or commute_swap that reached it, since that
-    move only leads back to its parent; the states are found in the same
-    order as when every move is offered.  Returns None when the budget runs
-    out -- absence proves nothing.
+    state is offered a move whose result is already found (see _neighbours),
+    so the states are found in the same order, from the same parents, as
+    when every move is offered.  Returns None when the budget runs out --
+    absence proves nothing.
     """
     if _check_int(budget, "state budget") < 1:
         raise PreconditionViolated(f"the state budget must be at least 1, got {budget}")
@@ -340,45 +385,36 @@ def similarity_witness(
         raise GraphsNotIsomorphic("the two strips' weighted graphs are not isomorphic")
     if lam.rows == mu.rows:
         return []
-    start = _state(lam)
     goal = _state(mu)
-    parent: dict[State, Optional[tuple[State, Move]]] = {start: None}
-    # a translate pair needs no search: the chain below is translations only
-    frontier = deque([start] if start != goal else [])
-    while frontier:
-        node = frontier.popleft()
-        link = parent[node]
-        for move, nxt in _neighbours(node, None if link is None else link[1]):
-            if nxt in parent:
-                continue
-            parent[nxt] = (node, move)
-            if nxt == goal or len(parent) >= budget:
-                frontier.clear()
-                break
-            frontier.append(nxt)
+    # a translate pair needs no search: its path is the start alone
+    parent = _search(_state(lam), goal, budget)
     if goal not in parent:
         return None
-    chain = []
-    key = goal
-    while parent[key] is not None:
-        key, move = parent[key]
-        chain.append(move)
-    chain.reverse()
+    path = [goal]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    # each step's move is the first in its node's list that gives the next
+    # node, as it was when the search found that node
+    chain: list[Move] = []
+    for node, nxt in zip(path, path[1:]):
+        back = chain[-1] if chain else None
+        chain.append(next(move for move, state in _neighbours(node, back) if state == nxt))
 
-    # replay from lam, with a translate to content 0 after the start and
-    # after each move that leaves it
+    # replay from lam with a translate to content 0 before each move that
+    # needs it, and one translate onto mu after the last
     moves: list[Move] = []
     current = lam
-    for move in [None, *chain]:
-        if move is not None:
-            moves.append(move)
-            current = apply_move(current, move)
+    for move in chain:
         if current.min_content != 0:
             moves.append(("translate", -current.min_content))
             current = translate(current, -current.min_content)
-    if mu.min_content != 0:
-        moves.append(("translate", mu.min_content))
-        current = translate(current, mu.min_content)
+        moves.append(move)
+        current = apply_move(current, move)
+    shift = mu.min_content - current.min_content
+    if shift != 0:
+        moves.append(("translate", shift))
+        current = translate(current, shift)
     if current.rows != mu.rows:
         raise WitnessReplayFailed(f"moves {moves} do not rebuild {mu.literal}")
     return moves

@@ -489,6 +489,15 @@ def test_witness_golden_bytes(runner, name):
     assert ["local_rotate"] in [move[:1] for move in body(result)["result"]["witness"]["moves"]]
 
 
+def test_witness_budget_miss_golden_bytes(runner):
+    # same weighted graph, but the search spends its whole default budget
+    # of 100,000 states without finding a chain
+    result = invoke(runner, "analyze", "--strip", "2/0,4/1,7/4", "--other", "3/0,4/2,7/4",
+                    "--report", "witness")
+    assert result.exit_code == 0
+    assert result.output == (DATA / "witness_budget_miss.json").read_text()
+
+
 GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
 
 

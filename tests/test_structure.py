@@ -312,7 +312,7 @@ def test_witness_for_running_pair_replays_exactly():
 
 
 def test_witness_for_translate_pair_skips_the_search(monkeypatch):
-    def no_search(strip):
+    def no_search(state, back=None):
         raise AssertionError("a translate pair needs no search")
 
     monkeypatch.setattr(structure, "_neighbours", no_search)
@@ -321,6 +321,10 @@ def test_witness_for_translate_pair_skips_the_search(monkeypatch):
     assert similarity_witness(lam, mu) == [("translate", 2)]
     assert similarity_witness(parse_strip("3/1,4/2"), parse_strip("2/0,3/1")) == [
         ("translate", -1)
+    ]
+    # one translate straight onto the target, not one to content 0 and one back up
+    assert similarity_witness(parse_strip("3/1,4/2"), parse_strip("4/2,5/3")) == [
+        ("translate", 1)
     ]
 
 
@@ -345,9 +349,10 @@ def test_witness_rejects_a_budget_below_one():
     assert similarity_witness(lam, mu, budget=1) is None
 
 
-# Witnesses for walk pairs of the benchmark's witness workload.  Breadth-first
-# search returns the first chain it meets, so these pin the order in which
-# _neighbours yields moves.
+# Witnesses for walk pairs of the benchmark's witness workload, and a cycle
+# that ends at the target's minimum content, so no translate follows it.
+# Breadth-first search returns the first chain it meets, so these pin the
+# order in which _neighbours yields moves.
 PINNED_WITNESSES = [
     (
         "7/4,12/9,15/12,19/16,7/4,24/21,3/0",
@@ -390,6 +395,7 @@ PINNED_WITNESSES = [
         "2/0,2/0,5/2",
         [("cycle",), ("local_rotate", 3)],
     ),
+    ("2/0,3/1,5/3", "3/1,5/3,1/-1", [("cycle",)]),
 ]
 
 
@@ -436,11 +442,13 @@ def flat_state(strip):
     return tuple(x for r in translate(strip, -strip.min_content).rows for x in (r.lo, r.hi))
 
 
+def rows_of(state):
+    """A flat search state as (lo, hi) pairs."""
+    return tuple(zip(state[::2], state[1::2]))
+
+
 def search_neighbours(strip):
-    return [
-        (move, tuple(zip(state[::2], state[1::2])))
-        for move, state in structure._neighbours(flat_state(strip))
-    ]
+    return [(move, rows_of(state)) for move, state in structure._neighbours(flat_state(strip))]
 
 
 def test_nested_strip_offers_a_local_rotation():
@@ -533,21 +541,36 @@ def test_search_moves_match_public_moves(strip):
 
 
 @settings(max_examples=200)
-@given(strip=small_strips())
+@given(strip=small_strips(max_rows=8))
 @example(strip=parse_strip("2/0,2/1"))
 @example(strip=parse_strip("2/0,4/1,7/4"))
-def test_search_leaves_out_only_the_move_back(strip):
-    # rotate 0 and every commute_swap are involutions on normalised states,
-    # so the entry left out leads back to the state the move came from
+@example(strip=parse_strip("1/0,3/2,5/4,7/6,9/8"))  # every adjacent pair commutes
+def test_search_leaves_out_only_moves_found_from_the_parent(strip):
+    """A state reached by a move leaves out the move back, which leads to
+    the parent; after a commute_swap t it also leaves out rotate 0, cycle
+    when t >= 2 and commute_swap u <= t-2, each equal to a swap applied to
+    an earlier entry of the parent's list.  The rest keep their order."""
     state = flat_state(strip)
-    for move, nxt in structure._neighbours(state):
-        full = list(structure._neighbours(nxt))
+    offered = dict(structure._neighbours(state))
+
+    def then(first, second):
+        return dict(structure._neighbours(offered[first]))[second]
+
+    for move, nxt in offered.items():
+        left_out = {}
         if move[0] in ("rotate", "commute_swap"):
-            kept = [entry for entry in full if entry[0] != move]
-            assert len(kept) == len(full) - 1, (strip.literal, move)
-            assert dict(full)[move] == state, (strip.literal, move)
-        else:
-            kept = full
+            left_out[move] = state
+        if move[0] == "commute_swap":
+            t = move[1]
+            left_out[("rotate", 0)] = then(("rotate", 0), ("commute_swap", strip.n - t))
+            if t >= 2:
+                left_out[("cycle",)] = then(("cycle",), ("commute_swap", t - 1))
+            for u in range(1, t - 1):
+                if ("commute_swap", u) in offered:
+                    left_out[("commute_swap", u)] = then(("commute_swap", u), move)
+        full = list(structure._neighbours(nxt))
+        assert {m: out for m, out in full if m in left_out} == left_out, (strip.literal, move)
+        kept = [entry for entry in full if entry[0] not in left_out]
         assert list(structure._neighbours(nxt, move)) == kept, (strip.literal, move)
 
 
@@ -646,15 +669,15 @@ def test_rotation_matches_the_public_moves(strip):
 
 # ---- the search against a reference breadth-first search ---------------------------
 
-def reference_witness(lam, mu, budget, neighbours):
-    """similarity_witness rebuilt on the public moves: breadth-first over
-    rows tuples at minimum content 0, in the order of `neighbours` (a
-    function of such a tuple), with the same stop rule, then the chain
-    replayed with a translate to content 0 after each move that leaves it."""
-    if lam.rows == mu.rows:
-        return []
-    start = tuple((r.lo, r.hi) for r in translate(lam, -lam.min_content).rows)
-    goal = tuple((r.lo, r.hi) for r in translate(mu, -mu.min_content).rows)
+def rows_at_zero(strip):
+    return tuple((r.lo, r.hi) for r in translate(strip, -strip.min_content).rows)
+
+
+def reference_bfs(start, goal, budget, neighbours):
+    """Breadth-first search from `start`, offering every move in the order
+    of `neighbours`, stopping at `goal` or once `budget` states are found;
+    each found state's (parent, move), None for `start`, in the order the
+    states were found."""
     parent = {start: None}
     frontier = deque([start] if start != goal else [])
     while frontier:
@@ -667,6 +690,18 @@ def reference_witness(lam, mu, budget, neighbours):
                 frontier.clear()
                 break
             frontier.append(nxt)
+    return parent
+
+
+def reference_witness(lam, mu, budget, neighbours):
+    """similarity_witness rebuilt on the public moves: reference_bfs over
+    rows tuples at minimum content 0, in the order of `neighbours` (a
+    function of such a tuple), then the chain replayed with a translate to
+    content 0 before each move that needs it and one onto mu after the last."""
+    if lam.rows == mu.rows:
+        return []
+    goal = rows_at_zero(mu)
+    parent = reference_bfs(rows_at_zero(lam), goal, budget, neighbours)
     if goal not in parent:
         return None
     chain = []
@@ -676,15 +711,14 @@ def reference_witness(lam, mu, budget, neighbours):
         chain.append(move)
     moves = []
     current = lam
-    for move in [None] + chain[::-1]:
-        if move is not None:
-            moves.append(move)
-            current = apply_move(current, move)
+    for move in chain[::-1]:
         if current.min_content != 0:
             moves.append(("translate", -current.min_content))
             current = translate(current, -current.min_content)
-    if mu.min_content != 0:
-        moves.append(("translate", mu.min_content))
+        moves.append(move)
+        current = apply_move(current, move)
+    if mu.min_content != current.min_content:
+        moves.append(("translate", mu.min_content - current.min_content))
     return moves
 
 
@@ -753,6 +787,35 @@ def test_search_matches_a_reference_bfs(sweep_main_buckets, data, seed, kind):
 )
 def test_fixed_pairs_match_the_reference_bfs(source, target):
     assert_search_matches_reference(parse_strip(source), parse_strip(target))
+
+
+@settings(max_examples=30)
+@given(
+    strip=small_strips(max_rows=8),
+    budget=st.integers(1, 3_000),
+    seed=st.integers(0, 2**32 - 1),
+    reachable=st.booleans(),
+)
+@example(strip=parse_strip("2/0,4/1,7/4"), budget=3_000, seed=0, reachable=False)
+@example(strip=parse_strip("1/0,3/2,5/4,7/6,9/8"), budget=3_000, seed=0, reachable=False)
+def test_search_finds_the_states_of_a_plain_bfs(strip, budget, seed, reachable):
+    """The search's found states, in order, with their parents, equal those
+    of a breadth-first search over the public moves that offers every move.
+    The goal is a walk partner, or no strip at all, so that the search runs
+    to its budget."""
+    partner = walk_partner(strip, random.Random(seed)) if reachable else None
+    found = structure._search(
+        flat_state(strip), () if partner is None else flat_state(partner), budget
+    )
+    expected = reference_bfs(
+        rows_at_zero(strip),
+        () if partner is None else rows_at_zero(partner),
+        budget,
+        lambda rows: public_neighbours(strip_of(rows)),
+    )
+    assert [(rows_of(state), up and rows_of(up)) for state, up in found.items()] == [
+        (rows, link and link[0]) for rows, link in expected.items()
+    ], strip.literal
 
 
 @pytest.mark.parametrize(
