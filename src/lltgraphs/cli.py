@@ -11,6 +11,7 @@ import functools
 import json
 import sys
 import time
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -22,7 +23,7 @@ from . import compositions as comps
 from .chromatic import chrom_quasisym, extended_chromatic, path_llt_h_expansion
 from .errors import ParseError, PreconditionError, PreconditionViolated
 from .llt import llt_input, llt_of_input, llt_poly, row_components
-from .qsymfunc import BasisExpansion, SymFunc, _check_int, to_basis
+from .qsymfunc import BasisExpansion, SymFunc, _check_int, partitions_of, to_basis
 from .strips import HorizontalStrip, Row, parse_strip, strip_of_composition
 from .structure import (
     find_minimal_ncp,
@@ -120,14 +121,24 @@ def run_verify(
 
     Strips with one labelled graph share one canonical form and one split
     of their rows into row_components. The engine llt_of_input is a pure
-    function of llt_input's pair, so one memo, kept for the whole sweep,
-    maps each pair it is asked for, a whole strip or a component, to the
-    id of its polynomial. A strip is keyed by the sorted pairs of its
+    function of llt_input's pair, so one memo, kept for the call, maps
+    each pair it is asked for, a whole strip or a component, to the id of
+    its polynomial. A strip is keyed by the sorted pairs of its
     components; a connected strip is its own one component. A member
     agrees with its bucket's first strip when their keys are equal, or
     else their component polynomials are equal as multisets, or else
-    their whole polynomials are. Each first strip is also run whole, and
-    the converse count groups the first strips by that polynomial."""
+    their whole polynomials are.
+
+    The converse count groups the first strips by whole polynomial, but
+    runs a first whole only when a member comparison has already asked
+    for it, or when its screen equals another first's. The screen of a
+    first with n cells is its m-coefficients on the partitions lam with
+    lam_1 >= n - 2, which partition_dp lists first and so computes
+    exactly before it stops; a screen that would cover every partition is
+    the whole polynomial. Polynomials with different screens differ, so
+    a first whose screen no other first shares is in no converse pair;
+    equal screens prove nothing, and those firsts are grouped by their
+    whole polynomials, in bucket order."""
     strips = sweep_family(max_rows, max_len, max_offset, sample, seed)
     nvars = k if k is not None else max_rows
     forms: dict[WeightedGraph, tuple] = {}  # freed once the strips are bucketed
@@ -143,29 +154,57 @@ def run_verify(
     del forms
     ids: dict[tuple, int] = {}  # engine input -> id of its polynomial
     poly_ids: dict[SymFunc, int] = {}
+    polys: list[SymFunc] = []  # by id
 
     def poly_id(pair) -> int:
         if pair not in ids:
-            ids[pair] = poly_ids.setdefault(llt_of_input(*pair, nvars), len(poly_ids))
+            f = llt_of_input(*pair, nvars)
+            if f not in poly_ids:
+                poly_ids[f] = len(polys)
+                polys.append(f)
+            ids[pair] = poly_ids[f]
         return ids[pair]
 
     def key(strip, groups) -> tuple:
+        if len(groups) == 1:
+            return (llt_input(strip),)
         return tuple(sorted(llt_input(HorizontalStrip(tuple(strip.rows[i] for i in g)))
                             for g in groups))
 
-    mismatches = []
-    firsts: dict[int, list[HorizontalStrip]] = {}  # whole polynomial id -> first strips
-    for members in buckets.values():
-        first, groups = members[0]
-        first_key, first_id = key(first, groups), poly_id(llt_input(first))
-        firsts.setdefault(first_id, []).append(first)
-        for other, groups in members[1:]:
+    def whole(strip, key) -> tuple:
+        return key[0] if len(key) == 1 else llt_input(strip)
+
+    mismatches, firsts = [], []
+    for (first, groups), *others in buckets.values():
+        first_key = key(first, groups)
+        firsts.append((first, first_key))
+        for other, groups in others:
             other_key = key(other, groups)
             if not (other_key == first_key
                     or sorted(map(poly_id, other_key)) == sorted(map(poly_id, first_key))
-                    or poly_id(llt_input(other)) == first_id):
+                    or poly_id(whole(other, other_key)) == poly_id(whole(first, first_key))):
                 mismatches.append([first.literal, other.literal])
-    equal = [same for same in firsts.values() if len(same) > 1]
+    leading: dict[int, tuple] = {}  # cell count -> (exponents of lam_1 >= n - 2, all?)
+    screened = []  # (first strip, its whole input, its screen)
+    for first, first_key in firsts:
+        pair = whole(first, first_key)
+        n = len(pair[1])
+        if n not in leading:
+            every = partitions_of(n, nvars)
+            exps = [lam + (0,) * (nvars - len(lam)) for lam in every if lam[0] >= n - 2]
+            leading[n] = exps, len(exps) == len(every)
+        exps, covered = leading[n]
+        if pair in ids or covered:
+            f = polys[poly_id(pair)]
+        else:
+            f = llt_of_input(*pair, nvars, n - 2)
+        screened.append((first, pair, (n, tuple(map(f.coeff, exps)))))
+    shared = Counter(screen for _, _, screen in screened)
+    by_poly: dict[int, list[HorizontalStrip]] = {}  # whole polynomial id -> first strips
+    for first, pair, screen in screened:
+        if shared[screen] > 1:
+            by_poly.setdefault(poly_id(pair), []).append(first)
+    equal = [same for same in by_poly.values() if len(same) > 1]
     return {
         "strips": len(strips),
         "buckets": len(buckets),
@@ -223,6 +262,16 @@ def _emit_error(exc: Exception, code: int) -> None:
     sys.exit(code)
 
 
+def _var_count(vars, default: int) -> int:
+    """vars, or default when it is None. A report lists each monomial as
+    one exponent per variable, so a count past sys.maxsize is refused."""
+    if vars is None:
+        return default
+    if vars > sys.maxsize:
+        raise PreconditionViolated(f"cannot use {vars} variables, more than {sys.maxsize}")
+    return vars
+
+
 def _reported(body):
     """Make a body that takes its options by name and returns (result,
     violation) into a subcommand with --format: time the body, map its
@@ -276,7 +325,8 @@ def main():
 @click.option("--basis", type=click.Choice(["m", "s", "h", "e", "p"]), default=None)
 def cmd_llt(strip, vars, basis):
     """Polynomial of a strip, as raw monomials or against a basis."""
-    f = llt_poly(parse_strip(strip), vars)
+    parsed = parse_strip(strip)
+    f = llt_poly(parsed, _var_count(vars, parsed.n))
     if basis is None:
         return symfunc_payload(f), False
     return expansion_payload(to_basis(f, basis)), False
@@ -313,10 +363,10 @@ def cmd_chromatic(graph, strip, vars):
         raise ParseError("give exactly one of --graph or --strip")
     if graph is not None:
         weighted = _load_graph(graph)
-        f = extended_chromatic(weighted, weighted.n if vars is None else vars)
+        f = extended_chromatic(weighted, _var_count(vars, weighted.n))
         return symfunc_payload(f), False
     cells = gamma_graph(parse_strip(strip))
-    return symfunc_payload(chrom_quasisym(cells, cells.n if vars is None else vars)), False
+    return symfunc_payload(chrom_quasisym(cells, _var_count(vars, cells.n))), False
 
 
 @main.command("path-llt")

@@ -25,7 +25,7 @@ from .qsymfunc import SymFunc, _check_int, partitions_of
 from .strips import HorizontalStrip
 
 
-def partition_dp(k: int, total: int, start, end, moves) -> SymFunc:
+def partition_dp(k: int, total: int, start, end, moves, _lead: int = 0) -> SymFunc:
     """The symmetric polynomial in k variables of degree total whose
     coefficient on x^lam is the count a letter DP reaches at state end.
 
@@ -61,6 +61,8 @@ def partition_dp(k: int, total: int, start, end, moves) -> SymFunc:
     # layers[i] follows i letters of before; partitions_of keeps prefixes together
     before, layers = (), [{start: {0: 1}}]
     for lam in partitions_of(total, max_len=k):
+        if lam and lam[0] < _lead:
+            break
         shared = 0
         while shared < min(len(lam), len(before)) and lam[shared] == before[shared]:
             shared += 1
@@ -122,7 +124,8 @@ def row_components(matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
-def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int) -> SymFunc:
+def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int,
+                 _lead: int = 0) -> SymFunc:
     """The polynomial in k variables of a strip with row sizes sizes and
     cell inversion masks out, as llt_input gives them.
 
@@ -132,7 +135,8 @@ def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int) -> SymFun
     empty one; filling the set S adds popcount(out[c] & ~after) for each
     c in S, after being the filled cells once S is. The result is
     symmetric and stores just its m-coordinates; SymFunc.terms() spreads
-    them over the monomials.
+    them over the monomials. A positive _lead keeps only the coordinates
+    on partitions whose first part is at least _lead, as partition_dp does.
     """
     n = len(out)
     # Cells of one row point at distinct cells, so a run's masks merge; row
@@ -166,4 +170,4 @@ def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int) -> SymFun
                       for size, got, o in opts[:left + 1] if left - size <= room]
         return [(after, (wide & ~(after * repeat)).bit_count()) for _, after, wide in combos]
 
-    return partition_dp(k, n, 0, full, moves)
+    return partition_dp(k, n, 0, full, moves, _lead)

@@ -16,6 +16,7 @@ from lltgraphs import QPoly, canonical_form, llt_poly, pi_graph
 from lltgraphs import cli, llt
 from lltgraphs.cli import main, partition_key, run_verify, sweep_family
 from lltgraphs.errors import PreconditionViolated
+from lltgraphs.qsymfunc import partitions_of
 from lltgraphs.strips import HorizontalStrip, Row
 
 from formulas import mask_components
@@ -396,6 +397,25 @@ def test_verify_refuses_to_sample_a_family_past_sys_maxsize(runner):
     assert "a family of 352095223166123790139140 strips" in error["message"]
 
 
+@pytest.mark.parametrize("args", [
+    ["llt", "--strip", "1/0"],
+    ["chromatic", "--strip", "1/0"],
+    ["chromatic", "--graph", '{"weights":[1],"edges":[]}'],
+])
+def test_a_variable_count_past_sys_maxsize_is_refused(runner, args):
+    """Padding a monomial to more than sys.maxsize entries overflows, so
+    such a count is refused before the engine runs, with the one-line
+    JSON error."""
+    count = 10**20
+    assert count > sys.maxsize
+    result = invoke(runner, *args, "--vars", str(count))
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error == {"type": "PreconditionViolated", "exit_code": 3,
+                     "message": f"cannot use {count} variables, more than {sys.maxsize}"}
+
+
 @pytest.mark.parametrize("command", ["llt", "chromatic"])
 def test_many_variables_list_every_monomial(runner, command):
     """One cell in 1,500 variables: x_1 + ... + x_1500, with no deep
@@ -456,6 +476,10 @@ GOLDEN_VERIFY = {
     "verify_4_2_3_sample100_seed1675479830.json": [
         "--max-rows", "4", "--max-len", "2", "--max-offset", "3",
         "--sample", "100", "--seed", "1675479830",
+    ],
+    "verify_4_2_3_sample100_seed7.json": [
+        "--max-rows", "4", "--max-len", "2", "--max-offset", "3",
+        "--sample", "100", "--seed", "7",
     ],
     "verify_5_1_4_sample80_seed1945980801.json": [
         "--max-rows", "5", "--max-len", "1", "--max-offset", "4",
@@ -599,11 +623,16 @@ def _verify_without_memos(max_rows, max_len, max_offset, sample, seed, k):
 
 
 def _engine_runs(family, sample, seed, k, engine):
-    """The engine inputs run_verify should run, each once per sweep, as a
-    Counter: each bucket's first strip whole; the component inputs of both
-    strips wherever a member's key, its components' sorted inputs, is not
-    the first strip's; and that member whole where its component
-    polynomials differ from the first strip's as a multiset."""
+    """The engine runs run_verify should make, each once per call, as a
+    Counter of (sizes, out) for a whole run and (sizes, out, lead) for a
+    screen. Member comparisons run the component inputs of both strips
+    wherever a member's key, its components' sorted inputs, is not the
+    first strip's, and both strips whole where their component
+    polynomials differ as a multiset. Then each first not yet run whole
+    gets a screen at lead n - 2, n its cell count, or a whole run where
+    that screen would cover every partition; and each first whose screen,
+    its coefficients at those partitions, another first shares is run
+    whole."""
     nvars = k if k is not None else family[0]
     buckets = {}
     for strip in sweep_family(*family, sample, seed):
@@ -619,13 +648,47 @@ def _engine_runs(family, sample, seed, k, engine):
 
     runs = set()
     for first, *others in buckets.values():
-        runs.add(llt.llt_input(first))
         for other in others:
             if key(other) != key(first):
                 runs.update(key(other) + key(first))
                 if polys(key(other)) != polys(key(first)):
-                    runs.add(llt.llt_input(other))
+                    runs.update([llt.llt_input(other), llt.llt_input(first)])
+    screens = {}
+    for first, *_ in buckets.values():
+        pair = llt.llt_input(first)
+        n = len(pair[1])
+        leading = [lam for lam in partitions_of(n, nvars) if lam[0] >= n - 2]
+        if pair in runs or leading == partitions_of(n, nvars):
+            runs.add(pair)
+            f = engine(*pair, nvars)
+        else:
+            runs.add(pair + (n - 2,))
+            f = engine(*pair, nvars, n - 2)
+        screen = (n, tuple(f.coeff(lam + (0,) * (nvars - len(lam))) for lam in leading))
+        screens.setdefault(screen, []).append(pair)
+    runs.update(pair for same in screens.values() if len(same) > 1 for pair in same)
     return Counter(runs)
+
+
+def test_equal_screens_leave_polynomials_apart():
+    """In the seeded 4/2/3 sample, three groups of bucket first strips
+    share a screen, their coefficients on the partitions lam with
+    lam_1 >= n - 2, yet hold unequal polynomials. Only one pair of firsts
+    has equal polynomials, so a converse count that took equal screens
+    for equal polynomials would report more."""
+    buckets = {}
+    for strip in sweep_family(4, 2, 3, 100, 7):
+        buckets.setdefault(canonical_form(pi_graph(strip)), []).append(strip)
+    by_screen = {}
+    for first, *_ in buckets.values():
+        pair = llt.llt_input(first)
+        screen = llt.llt_of_input(*pair, 4, len(pair[1]) - 2)
+        by_screen.setdefault(screen, []).append(llt.llt_of_input(*pair, 4))
+    apart = [polys for polys in by_screen.values() if len(set(polys)) > 1]
+    assert [len(polys) for polys in apart] == [3, 3, 2]
+    report = run_verify(4, 2, 3, sample=100, seed=7)
+    assert report["converse_failures"] == 1
+    assert report["converse_example"] == ["3/1,4/3,3/2,2/0", "4/3,4/3,3/1,2/0"]
 
 
 @given(
@@ -636,24 +699,27 @@ def _engine_runs(family, sample, seed, k, engine):
     skewed=st.booleans(),
 )
 @example(family=(3, 2, 2), sample=None, seed=0, k=None, skewed=True)  # 18 fallbacks
+@example(family=(4, 2, 3), sample=100, seed=7, k=None, skewed=False)  # equal screens apart
 def test_run_verify_matches_a_memo_free_reference(family, sample, seed, k, skewed):
     """Equal reports, and the engine runs of _engine_runs. A skewed engine
     also multiplies a connected input's polynomial by a power of q that
     depends on the inversion masks' sum. It differs inside connected
     buckets, so mismatches are compared too, and between the component
     multisets of a split bucket, so the whole-strip fallback runs; a
-    disconnected input, run whole, keeps its true polynomial."""
+    disconnected input, run whole, keeps its true polynomial. Screens go
+    through the same wrappers, so a skewed screen must agree with the
+    skewed whole polynomial for the converse counts to match."""
     engine, runs = llt.llt_of_input, []
 
-    def maybe_skewed(sizes, out, nvars):
-        f = engine(sizes, out, nvars)
+    def maybe_skewed(sizes, out, nvars, *lead):
+        f = engine(sizes, out, nvars, *lead)
         if skewed and len(mask_components(sizes, out)) == 1:
             return f * QPoly.q_power(sum(out) % 3)
         return f
 
-    def counted(sizes, out, nvars):
-        runs.append((sizes, out))
-        return maybe_skewed(sizes, out, nvars)
+    def counted(sizes, out, nvars, *lead):
+        runs.append((sizes, out, *lead))
+        return maybe_skewed(sizes, out, nvars, *lead)
 
     with patch.object(llt, "llt_of_input", maybe_skewed):
         want = _verify_without_memos(*family, sample, seed, k)

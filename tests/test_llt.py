@@ -18,7 +18,7 @@ from lltgraphs import (
 )
 from lltgraphs.errors import MismatchedVariableCount, NotUnicellular, PreconditionViolated
 from lltgraphs.llt import llt_input, llt_of_input, row_components
-from lltgraphs.qsymfunc import SymFunc
+from lltgraphs.qsymfunc import SymFunc, partitions_of
 from lltgraphs.strips import HorizontalStrip, Row
 
 from formulas import mask_components, q_coefficients, two_row_schur
@@ -285,6 +285,20 @@ def test_llt_poly_reads_only_the_engine_input():
     assert apart == ((1, 1), (0, 0))
     assert llt_input(parse_strip("1/0,5/4")) == apart
     assert llt_poly(parse_strip("1/0,5/4"), 2) == llt_of_input(*apart, 2)
+
+
+@settings(max_examples=80)
+@given(rows=brute_strips(max_rows=4), k=st.integers(1, 4), data=st.data())
+def test_a_lead_stops_the_engine_after_the_leading_partitions(rows, k, data):
+    """With a lead, llt_of_input gives the whole polynomial's m-coordinates
+    on the partitions whose first part is at least lead, and no others."""
+    sizes, out = llt_input(_strip(rows))
+    lead = data.draw(st.integers(0, len(out) + 1))
+    whole, early = llt_of_input(sizes, out, k), llt_of_input(sizes, out, k, lead)
+    assert (early.k, early.degree) == (whole.k, whole.degree)
+    for lam in partitions_of(len(out), k):
+        exps = lam + (0,) * (k - len(lam))
+        assert early.coeff(exps) == (whole.coeff(exps) if lam[0] >= lead else QPoly.zero())
 
 
 @pytest.mark.parametrize("k", [0, -1])
