@@ -22,7 +22,7 @@ from . import __version__
 from . import compositions as comps
 from .chromatic import chrom_quasisym, extended_chromatic, path_llt_h_expansion
 from .errors import ParseError, PreconditionError, PreconditionViolated
-from .llt import llt_input, llt_of_input, llt_poly, row_components
+from .llt import llt_input, llt_of_input, llt_poly, normal_form, row_components
 from .qsymfunc import BasisExpansion, SymFunc, _check_int, partitions_of, to_basis
 from .strips import HorizontalStrip, Row, parse_strip, strip_of_composition
 from .structure import (
@@ -121,21 +121,24 @@ def run_verify(
 
     Strips with one labelled graph share one canonical form and one split
     of their rows into row_components. The engine llt_of_input is a pure
-    function of llt_input's pair, so one memo, kept for the call, maps
-    each pair it is asked for, a whole strip or a component, to the id of
-    its polynomial. A strip is keyed by the sorted pairs of its
-    components; a connected strip is its own one component. A member
-    agrees with its bucket's first strip when their keys are equal, or
-    else their component polynomials are equal as multisets, or else
-    their whole polynomials are.
+    function of llt_input's pair, and inputs with one normal_form share
+    their polynomial, so two memos, kept for the call, map each pair it
+    is asked for, a whole strip or a component, to the id of its
+    polynomial: one by the pair itself and, where that misses, one by its
+    normal form. The engine runs once per normal form, on the normal
+    form. A strip is keyed by the sorted pairs of its components; a
+    connected strip is its own one component. A member agrees with its
+    bucket's first strip when their keys are equal, or else their
+    component polynomials are equal as multisets, or else their whole
+    polynomials are.
 
     The converse count groups the first strips by whole polynomial, but
     runs a first whole only when a member comparison has already asked
     for it, or when its screen equals another first's. The screen of a
     first with n cells is its m-coefficients on the partitions lam with
     lam_1 >= n - 2, which partition_dp lists first and so computes
-    exactly before it stops; a screen that would cover every partition is
-    the whole polynomial. Polynomials with different screens differ, so
+    exactly before it stops, run on the first's own pair; a screen that
+    would cover every partition is the whole polynomial. Polynomials with different screens differ, so
     a first whose screen no other first shares is in no converse pair;
     equal screens prove nothing, and those firsts are grouped by their
     whole polynomials, in bucket order."""
@@ -153,16 +156,20 @@ def run_verify(
         buckets.setdefault(known[0], []).append((strip, known[1]))
     del forms
     ids: dict[tuple, int] = {}  # engine input -> id of its polynomial
+    class_ids: dict[tuple, int] = {}  # normal form -> id of its polynomial
     poly_ids: dict[SymFunc, int] = {}
     polys: list[SymFunc] = []  # by id
 
     def poly_id(pair) -> int:
         if pair not in ids:
-            f = llt_of_input(*pair, nvars)
-            if f not in poly_ids:
-                poly_ids[f] = len(polys)
-                polys.append(f)
-            ids[pair] = poly_ids[f]
+            form = normal_form(*pair)
+            if form not in class_ids:
+                f = llt_of_input(*form, nvars)
+                if f not in poly_ids:
+                    poly_ids[f] = len(polys)
+                    polys.append(f)
+                class_ids[form] = poly_ids[f]
+            ids[pair] = class_ids[form]
         return ids[pair]
 
     def key(strip, groups) -> tuple:
@@ -458,5 +465,6 @@ def cmd_verify(max_rows, max_len, max_offset, sample, seed, vars):
         raise ParseError("--sample must be at least 1")
     if vars is not None and vars < 1:
         raise ValueError("need at least one variable")
-    result = run_verify(max_rows, max_len, max_offset, sample=sample, seed=seed, k=vars)
+    result = run_verify(max_rows, max_len, max_offset, sample=sample, seed=seed,
+                        k=_var_count(vars, max_rows))
     return result, bool(result["mismatches"])

@@ -21,6 +21,8 @@ cell-pair count lives in the test oracle.
 
 from __future__ import annotations
 
+from itertools import accumulate, groupby
+
 from .qsymfunc import SymFunc, _check_int, partitions_of
 from .strips import HorizontalStrip
 
@@ -97,6 +99,138 @@ def llt_input(strip: HorizontalStrip) -> tuple[tuple[int, ...], tuple[int, ...]]
         for i, x in cells)
 
 
+def normal_form(sizes: tuple[int, ...], out: tuple[int, ...]
+                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One engine input of the class of (sizes, out) under the
+    relabellings that reorder the rows, each taken with or without the
+    reversal of llt_of_input's docstring. Every input of a class has the
+    same polynomial, and the same normal form.
+
+    Both orientations, the input and its reversal, are read as links: a
+    bit from cell p of row r to cell q of row s is the pair (p, q) of
+    links[r][s], cells numbered within their rows. The label of row s
+    seen from row r is (links[r][s], links[s][r]), and a row's signature
+    is its size and the sorted (size, label) of its linked rows; none of
+    these depends on how the rows are ordered. Only the orientations
+    whose sorted signatures are least go on. In each, leaf_orders splits
+    the rows by signature, then as canonical_form splits vertices, and
+    the least masks of the input relabelled in a leaf order are the
+    normal form, beside the sorted sizes. A relabelling keeps the sorted
+    signatures of each orientation, or swaps those of the two, and it
+    keeps the set of leaf inputs, so it keeps the least of them.
+    """
+    rows = range(len(sizes))
+    firsts = [0, *accumulate(sizes)]
+    row_of = [r for r in rows for _ in range(sizes[r])]
+    links: list[dict] = [{} for _ in rows]
+    flips: list[dict] = [{} for _ in rows]  # links of the reversal
+    for c, mask in enumerate(out):
+        r = row_of[c]
+        p = c - firsts[r]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            d = low.bit_length() - 1
+            s = row_of[d]
+            q = d - firsts[s]
+            links[r].setdefault(s, []).append((p, q))
+            flips[s].setdefault(r, []).append((sizes[s] - 1 - q, sizes[r] - 1 - p))
+    near = [links[r].keys() | flips[r].keys() for r in rows]  # linked either way
+    oriented = []
+    for listed in links, flips:
+        linked = [{s: tuple(sorted(pairs)) for s, pairs in listed[r].items()} for r in rows]
+        labels = [{s: (linked[r].get(s, ()), linked[s].get(r, ())) for s in near[r]}
+                  for r in rows]
+        signature = [(sizes[r], sorted((sizes[s], label) for s, label in labels[r].items()))
+                     for r in rows]
+        oriented.append((sorted(signature), signature, labels, linked))
+    least = min(key for key, *_ in oriented)
+    return tuple(sorted(sizes)), min(_least_relabelled(sizes, *rest)
+                                     for key, *rest in oriented if key == least)
+
+
+def _least_relabelled(sizes, signature, labels, linked) -> tuple[int, ...]:
+    """normal_form's least masks for one orientation."""
+    rows = range(len(sizes))
+    cells = [list(tied) for _, tied in groupby(sorted(rows, key=signature.__getitem__),
+                                               key=signature.__getitem__)]
+
+    def twins(u: int, v: int) -> bool:
+        return (labels[u].get(v) == labels[v].get(u) and
+                {x: w for x, w in labels[u].items() if x != v}
+                == {x: w for x, w in labels[v].items() if x != u})
+
+    best = None
+    for order in leaf_orders(cells, [list(label.items()) for label in labels], twins):
+        starts = [0] * len(sizes)
+        at = 0
+        for r in order:
+            starts[r], at = at, at + sizes[r]
+        masks = [0] * at
+        for r in rows:
+            for s, pairs in linked[r].items():
+                for p, q in pairs:
+                    masks[starts[r] + p] |= 1 << starts[s] + q
+        if best is None or masks < best:
+            best = masks
+    return tuple(best)
+
+
+def leaf_orders(cells: list[list[int]], neighbours, twins):
+    """The vertex orders at the leaves of an individualisation-refinement
+    search. A relabelling of the vertices relabels the leaf orders with
+    them, so a structure read in each leaf order gives a set of readings
+    that no relabelling changes.
+
+    cells lists the vertices in classes, in an order fixed by the
+    vertices' own structure; neighbours[v] lists (u, label) for each
+    neighbour u of v, labels being comparable and free of vertex numbers.
+    Colour refinement splits every cell by the sorted multiset of
+    (neighbour's cell, label), ordering the new cells by that signature,
+    until no cell splits. While a cell holds more than one vertex, the
+    first such cell is individualised one vertex at a time, each branch
+    refined again. A vertex is skipped when twins(u, v) holds for one u
+    already tried, which must mean that swapping u and v maps the
+    structure to itself: then it maps one branch onto the other.
+    """
+    n = len(neighbours)
+
+    def refine(cells: list[list[int]]) -> list[list[int]]:
+        while len(cells) < n:
+            cell_of = [0] * n
+            for index, cell in enumerate(cells):
+                for v in cell:
+                    cell_of[v] = index
+            split: list[list[int]] = []
+            for cell in cells:
+                groups: dict[tuple, list[int]] = {}
+                for v in cell:
+                    signature = tuple(
+                        sorted((cell_of[u], w) for u, w in neighbours[v])
+                    )
+                    groups.setdefault(signature, []).append(v)
+                split.extend(groups[s] for s in sorted(groups))
+            if len(split) == len(cells):
+                break
+            cells = split
+        return cells
+
+    pending = [cells]
+    while pending:
+        cells = refine(pending.pop())
+        target = next((t for t, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            yield [cell[0] for cell in cells]
+            continue
+        tried: list[int] = []
+        for v in cells[target]:
+            if any(twins(u, v) for u in tried):
+                continue
+            tried.append(v)
+            rest = [u for u in cells[target] if u != v]
+            pending.append(cells[:target] + [[v], rest] + cells[target + 1:])
+
+
 def row_components(matrix) -> tuple[tuple[int, ...], ...]:
     """The 0-based row indices of each connected component of the graph
     whose edges are matrix's nonzero entries, in increasing order within
@@ -137,6 +271,24 @@ def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int,
     symmetric and stores just its m-coordinates; SymFunc.terms() spreads
     them over the monomials. A positive _lead keeps only the coordinates
     on partitions whose first part is at least _lead, as partition_dp does.
+
+    The sum is over fillings T, weakly increasing along each row, of
+    q^#{(c, d): bit d of out[c], T(c) < T(d)}, so two relabellings of the
+    input keep the polynomial, and normal_form picks one input per class:
+    - Reordering the rows renames the cells, so it sums the same fillings
+      with the same inversions.
+    - The reversal transposes the relation and mirrors the cells inside
+      each row. It maps a filling T to the filling with k + 1 - T(c) at
+      the mirrored cell c' of c, weakly increasing again. T(c) < T(d)
+      becomes T'(c') > T'(d'), so the inverting pair now has its larger
+      letter at c': that is why the relation is transposed. The weight
+      x^a goes to x^rev(a), and the polynomial is symmetric, so each
+      m-coordinate is kept.
+    - Both keep the precondition of merging a run's masks. A cell of
+      llt_input has at most one bit per other row, at its content or one
+      lower, and no bit in its own row; so the masks of one row's cells
+      are disjoint after transposing too, and a reordering moves rows
+      whole.
     """
     n = len(out)
     # Cells of one row point at distinct cells, so a run's masks merge; row

@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     PreconditionViolated,
 )
-from .llt import llt_input, llt_poly
+from .llt import leaf_orders, llt_input, llt_poly
 from .qsymfunc import SymFunc, _check_int
 from .strips import HorizontalStrip, Row, m_pair
 
@@ -183,16 +183,12 @@ def canonical_form(g: WeightedGraph):
     """Total isomorphism invariant: two graphs have equal forms exactly
     when they are isomorphic.
 
-    The vertices start in cells of equal weight, by increasing weight.
-    Colour refinement then splits every cell by the sorted multiset of
-    (neighbour's cell, edge weight) over its nonzero edges, ordering the
-    new cells by that signature, until no cell splits. While a cell
-    holds more than one vertex, the first such cell is individualised
-    one vertex at a time, each branch refined again. A vertex is skipped
-    when it is a twin of one already tried (equal matrix rows off the
-    pair), since swapping twins is an automorphism fixing the branch.
-    Each leaf orders all vertices; the least upper-triangle edge matrix
-    read in a leaf order is the key.
+    The vertices start in cells of equal weight, by increasing weight,
+    and llt.leaf_orders refines and individualises them, labelling each
+    nonzero edge by its weight. Twins, whose matrix rows are equal off
+    the pair, are swapped by an automorphism, so the search tries one of
+    them. Each leaf orders all vertices; the least upper-triangle edge
+    matrix read in a leaf order is the key.
 
     The value is opaque: use it only for equality and hashing.
     """
@@ -200,25 +196,6 @@ def canonical_form(g: WeightedGraph):
     neighbours = [
         [(u, w) for u, w in enumerate(row) if w] for row in g.matrix
     ]
-
-    def refine(cells: list[list[int]]) -> list[list[int]]:
-        while True:
-            cell_of = [0] * n
-            for index, cell in enumerate(cells):
-                for v in cell:
-                    cell_of[v] = index
-            split: list[list[int]] = []
-            for cell in cells:
-                groups: dict[tuple, list[int]] = {}
-                for v in cell:
-                    signature = tuple(
-                        sorted((cell_of[u], w) for u, w in neighbours[v])
-                    )
-                    groups.setdefault(signature, []).append(v)
-                split.extend(groups[s] for s in sorted(groups))
-            if len(split) == len(cells):
-                return cells
-            cells = split
 
     def twins(u: int, v: int) -> bool:
         row_u, row_v = g.matrix[u], g.matrix[v]
@@ -230,27 +207,14 @@ def canonical_form(g: WeightedGraph):
     for v in range(n):
         classes.setdefault(g.weights[v], []).append(v)
     best = None
-    pending = [[classes[w] for w in sorted(classes)]]
-    while pending:
-        cells = refine(pending.pop())
-        target = next((t for t, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
-            order = [cell[0] for cell in cells]
-            key = tuple(
-                g.matrix[order[a]][order[b]]
-                for a in range(n)
-                for b in range(a + 1, n)
-            )
-            if best is None or key < best:
-                best = key
-            continue
-        tried: list[int] = []
-        for v in cells[target]:
-            if any(twins(u, v) for u in tried):
-                continue
-            tried.append(v)
-            rest = [u for u in cells[target] if u != v]
-            pending.append(cells[:target] + [[v], rest] + cells[target + 1:])
+    for order in leaf_orders([classes[w] for w in sorted(classes)], neighbours, twins):
+        key = tuple(
+            g.matrix[order[a]][order[b]]
+            for a in range(n)
+            for b in range(a + 1, n)
+        )
+        if best is None or key < best:
+            best = key
     return (tuple(sorted(g.weights)), best)
 
 

@@ -401,6 +401,7 @@ def test_verify_refuses_to_sample_a_family_past_sys_maxsize(runner):
     ["llt", "--strip", "1/0"],
     ["chromatic", "--strip", "1/0"],
     ["chromatic", "--graph", '{"weights":[1],"edges":[]}'],
+    ["verify", "--max-rows", "2", "--max-len", "1", "--max-offset", "1"],
 ])
 def test_a_variable_count_past_sys_maxsize_is_refused(runner, args):
     """Padding a monomial to more than sys.maxsize entries overflows, so
@@ -468,8 +469,11 @@ def test_package_runs_as_a_module():
 # verify outputs recorded by earlier sweeps: verify_5_1_4.json, with one
 # converse pair, before connected and split buckets shared one rule,
 # verify_3_3_4.json before split buckets were checked component by
-# component, the others before the sweep shared any work between strips
+# component, verify_4_2_2.json, with one converse pair, before inputs
+# were memoised by normal form, the others before the sweep shared any
+# work between strips
 GOLDEN_VERIFY = {
+    "verify_4_2_2.json": ["--max-rows", "4", "--max-len", "2", "--max-offset", "2"],
     "verify_3_3_4.json": ["--max-rows", "3", "--max-len", "3", "--max-offset", "4"],
     "verify_4_1_4.json": ["--max-rows", "4", "--max-len", "1", "--max-offset", "4"],
     "verify_5_1_4.json": ["--max-rows", "5", "--max-len", "1", "--max-offset", "4"],
@@ -625,14 +629,15 @@ def _verify_without_memos(max_rows, max_len, max_offset, sample, seed, k):
 def _engine_runs(family, sample, seed, k, engine):
     """The engine runs run_verify should make, each once per call, as a
     Counter of (sizes, out) for a whole run and (sizes, out, lead) for a
-    screen. Member comparisons run the component inputs of both strips
-    wherever a member's key, its components' sorted inputs, is not the
-    first strip's, and both strips whole where their component
-    polynomials differ as a multiset. Then each first not yet run whole
-    gets a screen at lead n - 2, n its cell count, or a whole run where
-    that screen would cover every partition; and each first whose screen,
-    its coefficients at those partitions, another first shares is run
-    whole."""
+    screen. An input asked for whole runs once per normal-form class, on
+    its normal form. Member comparisons ask for the component inputs of
+    both strips wherever a member's key, its components' sorted inputs,
+    is not the first strip's, and for both strips whole where their
+    component polynomials differ as a multiset. Then each first not yet
+    asked for whole gets a screen at lead n - 2, n its cell count, on its
+    own input, or is asked for whole where that screen would cover every
+    partition; and each first whose screen, its coefficients at those
+    partitions, another first shares is asked for whole."""
     nvars = k if k is not None else family[0]
     buckets = {}
     for strip in sweep_family(*family, sample, seed):
@@ -646,28 +651,28 @@ def _engine_runs(family, sample, seed, k, engine):
     def polys(key):
         return Counter(engine(*pair, nvars) for pair in key)
 
-    runs = set()
+    asked, screens = set(), []
     for first, *others in buckets.values():
         for other in others:
             if key(other) != key(first):
-                runs.update(key(other) + key(first))
+                asked.update(key(other) + key(first))
                 if polys(key(other)) != polys(key(first)):
-                    runs.update([llt.llt_input(other), llt.llt_input(first)])
-    screens = {}
+                    asked.update([llt.llt_input(other), llt.llt_input(first)])
+    by_screen = {}
     for first, *_ in buckets.values():
         pair = llt.llt_input(first)
         n = len(pair[1])
         leading = [lam for lam in partitions_of(n, nvars) if lam[0] >= n - 2]
-        if pair in runs or leading == partitions_of(n, nvars):
-            runs.add(pair)
+        if pair in asked or leading == partitions_of(n, nvars):
+            asked.add(pair)
             f = engine(*pair, nvars)
         else:
-            runs.add(pair + (n - 2,))
+            screens.append(pair + (n - 2,))
             f = engine(*pair, nvars, n - 2)
         screen = (n, tuple(f.coeff(lam + (0,) * (nvars - len(lam))) for lam in leading))
-        screens.setdefault(screen, []).append(pair)
-    runs.update(pair for same in screens.values() if len(same) > 1 for pair in same)
-    return Counter(runs)
+        by_screen.setdefault(screen, []).append(pair)
+    asked.update(pair for same in by_screen.values() if len(same) > 1 for pair in same)
+    return Counter({llt.normal_form(*pair) for pair in asked}) + Counter(screens)
 
 
 def test_equal_screens_leave_polynomials_apart():
@@ -698,23 +703,25 @@ def test_equal_screens_leave_polynomials_apart():
     k=st.one_of(st.none(), st.integers(1, 3)),
     skewed=st.booleans(),
 )
-@example(family=(3, 2, 2), sample=None, seed=0, k=None, skewed=True)  # 18 fallbacks
+@example(family=(3, 2, 2), sample=None, seed=0, k=None, skewed=True)  # 50 fallbacks
 @example(family=(4, 2, 3), sample=100, seed=7, k=None, skewed=False)  # equal screens apart
 def test_run_verify_matches_a_memo_free_reference(family, sample, seed, k, skewed):
     """Equal reports, and the engine runs of _engine_runs. A skewed engine
     also multiplies a connected input's polynomial by a power of q that
-    depends on the inversion masks' sum. It differs inside connected
-    buckets, so mismatches are compared too, and between the component
-    multisets of a split bucket, so the whole-strip fallback runs; a
-    disconnected input, run whole, keeps its true polynomial. Screens go
-    through the same wrappers, so a skewed screen must agree with the
-    skewed whole polynomial for the converse counts to match."""
+    depends on the inversion masks' total popcount, which no relabelling
+    of the input changes, so every input of a normal-form class keeps
+    one polynomial. It differs inside connected buckets, so mismatches
+    are compared too, and between the component multisets of a split
+    bucket, so the whole-strip fallback runs; a disconnected input, run
+    whole, keeps its true polynomial. Screens go through the same
+    wrappers, so a skewed screen must agree with the skewed whole
+    polynomial for the converse counts to match."""
     engine, runs = llt.llt_of_input, []
 
     def maybe_skewed(sizes, out, nvars, *lead):
         f = engine(sizes, out, nvars, *lead)
         if skewed and len(mask_components(sizes, out)) == 1:
-            return f * QPoly.q_power(sum(out) % 3)
+            return f * QPoly.q_power(sum(m.bit_count() for m in out) % 3)
         return f
 
     def counted(sizes, out, nvars, *lead):

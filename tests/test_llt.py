@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from unittest.mock import patch
 
@@ -17,7 +17,7 @@ from lltgraphs import (
     to_basis,
 )
 from lltgraphs.errors import MismatchedVariableCount, NotUnicellular, PreconditionViolated
-from lltgraphs.llt import llt_input, llt_of_input, row_components
+from lltgraphs.llt import llt_input, llt_of_input, normal_form, row_components
 from lltgraphs.qsymfunc import SymFunc, partitions_of
 from lltgraphs.strips import HorizontalStrip, Row
 
@@ -285,6 +285,53 @@ def test_llt_poly_reads_only_the_engine_input():
     assert apart == ((1, 1), (0, 0))
     assert llt_input(parse_strip("1/0,5/4")) == apart
     assert llt_poly(parse_strip("1/0,5/4"), 2) == llt_of_input(*apart, 2)
+
+
+def relabelled(sizes, out, order, reverse):
+    """The engine input with its rows listed in order, by their old
+    indices, after the reversal when reverse is true: a bit from cell p
+    of row r to cell q of row s becomes one from cell size_s - 1 - q of
+    row s to cell size_r - 1 - p of row r."""
+    cells = [(r, p) for r, size in enumerate(sizes) for p in range(size)]
+    arcs = [(cells[c], cells[d]) for c, mask in enumerate(out)
+            for d in range(len(out)) if mask >> d & 1]
+    if reverse:
+        arcs = [((s, sizes[s] - 1 - q), (r, sizes[r] - 1 - p)) for (r, p), (s, q) in arcs]
+    place = {cell: c for c, cell in enumerate((r, p) for r in order for p in range(sizes[r]))}
+    masks = [0] * len(cells)
+    for a, b in arcs:
+        masks[place[a]] |= 1 << place[b]
+    return tuple(sizes[r] for r in order), tuple(masks)
+
+
+@settings(max_examples=60)
+@given(rows=brute_strips(), k=st.integers(1, 4), data=st.data())
+def test_a_relabelled_input_keeps_its_polynomial(rows, k, data):
+    """A reordering of the rows, with or without the reversal, keeps
+    llt_of_input. On single-cell rows, where a filling is any colouring,
+    the relabelled input's polynomial is the colouring sum over its bits."""
+    sizes, out = llt_input(_strip(rows))
+    order = data.draw(st.permutations(range(len(sizes))))
+    moved = relabelled(sizes, out, order, data.draw(st.booleans()))
+    f = llt_of_input(*moved, k)
+    assert f == llt_of_input(sizes, out, k)
+    if set(sizes) == {1}:
+        bits = [(c + 1, d + 1) for c, mask in enumerate(moved[1])
+                for d in range(len(out)) if mask >> d & 1]
+        assert _poly_as_nested_dict(f) == llt_via_colourings(len(out), bits, k)
+
+
+@settings(max_examples=60)
+@given(rows=brute_strips(), data=st.data())
+def test_normal_form_picks_one_input_of_each_relabelling_class(rows, data):
+    """normal_form gives every relabelling of an input the same value, and
+    that value is itself one of the relabellings."""
+    sizes, out = llt_input(_strip(rows))
+    order = data.draw(st.permutations(range(len(sizes))))
+    form = normal_form(sizes, out)
+    assert normal_form(*relabelled(sizes, out, order, data.draw(st.booleans()))) == form
+    assert form in {relabelled(sizes, out, order, reverse)
+                    for order in permutations(range(len(sizes))) for reverse in (False, True)}
 
 
 @settings(max_examples=80)
