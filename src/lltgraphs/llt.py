@@ -21,7 +21,8 @@ cell-pair count lives in the test oracle.
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
+from functools import partial
+from itertools import accumulate
 
 from .qsymfunc import SymFunc, _check_int, partitions_of
 from .strips import HorizontalStrip
@@ -109,15 +110,16 @@ def normal_form(sizes: tuple[int, ...], out: tuple[int, ...]
     Both orientations, the input and its reversal, are read as links: a
     bit from cell p of row r to cell q of row s is the pair (p, q) of
     links[r][s], cells numbered within their rows. The label of row s
-    seen from row r is (links[r][s], links[s][r]), and a row's signature
-    is its size and the sorted (size, label) of its linked rows; none of
-    these depends on how the rows are ordered. Only the orientations
-    whose sorted signatures are least go on. In each, leaf_orders splits
-    the rows by signature, then as canonical_form splits vertices, and
-    the least masks of the input relabelled in a leaf order are the
-    normal form, beside the sorted sizes. A relabelling keeps the sorted
-    signatures of each orientation, or swaps those of the two, and it
-    keeps the set of leaf inputs, so it keeps the least of them.
+    seen from row r is (links[r][s], links[s][r]), which fixes the label
+    of r seen from s, and a row's signature is its size and the sorted
+    (size, label) of its linked rows; none of these depends on how the
+    rows are ordered. Only the orientations whose sorted signatures are
+    least go on. In each, least_reading keys the rows by signature,
+    labels them as above, and reads the masks of the input relabelled in
+    a leaf order; the least of these is the normal form, beside the
+    sorted sizes. A relabelling keeps the sorted signatures of each
+    orientation, or swaps those of the two, and it keeps the set of leaf
+    inputs, so it keeps the least of them.
     """
     rows = range(len(sizes))
     firsts = [0, *accumulate(sizes)]
@@ -136,32 +138,8 @@ def normal_form(sizes: tuple[int, ...], out: tuple[int, ...]
             links[r].setdefault(s, []).append((p, q))
             flips[s].setdefault(r, []).append((sizes[s] - 1 - q, sizes[r] - 1 - p))
     near = [links[r].keys() | flips[r].keys() for r in rows]  # linked either way
-    oriented = []
-    for listed in links, flips:
-        linked = [{s: tuple(sorted(pairs)) for s, pairs in listed[r].items()} for r in rows]
-        labels = [{s: (linked[r].get(s, ()), linked[s].get(r, ())) for s in near[r]}
-                  for r in rows]
-        signature = [(sizes[r], sorted((sizes[s], label) for s, label in labels[r].items()))
-                     for r in rows]
-        oriented.append((sorted(signature), signature, labels, linked))
-    least = min(key for key, *_ in oriented)
-    return tuple(sorted(sizes)), min(_least_relabelled(sizes, *rest)
-                                     for key, *rest in oriented if key == least)
 
-
-def _least_relabelled(sizes, signature, labels, linked) -> tuple[int, ...]:
-    """normal_form's least masks for one orientation."""
-    rows = range(len(sizes))
-    cells = [list(tied) for _, tied in groupby(sorted(rows, key=signature.__getitem__),
-                                               key=signature.__getitem__)]
-
-    def twins(u: int, v: int) -> bool:
-        return (labels[u].get(v) == labels[v].get(u) and
-                {x: w for x, w in labels[u].items() if x != v}
-                == {x: w for x, w in labels[v].items() if x != u})
-
-    best = None
-    for order in leaf_orders(cells, [list(label.items()) for label in labels], twins):
+    def relabelled(linked, order) -> tuple[int, ...]:
         starts = [0] * len(sizes)
         at = 0
         for r in order:
@@ -171,29 +149,48 @@ def _least_relabelled(sizes, signature, labels, linked) -> tuple[int, ...]:
             for s, pairs in linked[r].items():
                 for p, q in pairs:
                     masks[starts[r] + p] |= 1 << starts[s] + q
-        if best is None or masks < best:
-            best = masks
-    return tuple(best)
+        return tuple(masks)
+
+    oriented = []
+    for listed in links, flips:
+        linked = [{s: tuple(sorted(pairs)) for s, pairs in listed[r].items()} for r in rows]
+        labels = [[(s, (linked[r].get(s, ()), linked[s].get(r, ()))) for s in near[r]]
+                  for r in rows]
+        signature = [(sizes[r], tuple(sorted((sizes[s], label) for s, label in labels[r])))
+                     for r in rows]
+        oriented.append((sorted(signature), signature, labels, partial(relabelled, linked)))
+    least = min(key for key, *_ in oriented)
+    return tuple(sorted(sizes)), min(least_reading(*rest)
+                                     for key, *rest in oriented if key == least)
 
 
-def leaf_orders(cells: list[list[int]], neighbours, twins):
-    """The vertex orders at the leaves of an individualisation-refinement
-    search. A relabelling of the vertices relabels the leaf orders with
-    them, so a structure read in each leaf order gives a set of readings
-    that no relabelling changes.
+def least_reading(keys, neighbours, read):
+    """The least read(order) over the vertex orders at the leaves of an
+    individualisation-refinement search (McKay and Piperno, J. Symb.
+    Comput. 2014). Relabelling the vertices with their keys and
+    neighbours relabels the leaf orders, so no relabelling changes the
+    least reading of a structure read in each leaf order.
 
-    cells lists the vertices in classes, in an order fixed by the
-    vertices' own structure; neighbours[v] lists (u, label) for each
-    neighbour u of v, labels being comparable and free of vertex numbers.
-    Colour refinement splits every cell by the sorted multiset of
-    (neighbour's cell, label), ordering the new cells by that signature,
-    until no cell splits. While a cell holds more than one vertex, the
-    first such cell is individualised one vertex at a time, each branch
-    refined again. A vertex is skipped when twins(u, v) holds for one u
-    already tried, which must mean that swapping u and v maps the
-    structure to itself: then it maps one branch onto the other.
+    keys[v] is a hashable, comparable key of vertex v. neighbours[v]
+    lists (u, label) for each neighbour u of v, labels being comparable
+    and free of vertex numbers; the label of u seen from v must fix that
+    of v seen from u. The vertices start in cells of equal key, by
+    increasing key. Colour refinement splits every cell by the sorted
+    multiset of (neighbour's cell, label), ordering the new cells by that
+    signature, until no cell splits. While a cell holds more than one
+    vertex, the first such cell is individualised one vertex at a time,
+    each branch refined again.
+
+    A vertex v is skipped when a vertex u already tried sees every other
+    vertex as v does. Their labels of each other then agree too: u and v
+    share a cell of a stable refinement, so they have one signature, and
+    once the other vertices are matched, what is left of it is (cell of
+    v, label of v seen from u) against (cell of u, label of u seen from
+    v), with u and v in one cell. As each label fixes its reverse,
+    swapping u and v maps the structure to itself, and one branch onto
+    the other.
     """
-    n = len(neighbours)
+    n = len(keys)
 
     def refine(cells: list[list[int]]) -> list[list[int]]:
         while len(cells) < n:
@@ -215,12 +212,20 @@ def leaf_orders(cells: list[list[int]], neighbours, twins):
             cells = split
         return cells
 
-    pending = [cells]
+    def twins(u: int, v: int) -> bool:
+        return ({x: w for x, w in neighbours[u] if x != v}
+                == {x: w for x, w in neighbours[v] if x != u})
+
+    tied: dict = {}
+    for v in range(n):
+        tied.setdefault(keys[v], []).append(v)
+    pending = [[tied[key] for key in sorted(tied)]]
+    readings = []
     while pending:
         cells = refine(pending.pop())
         target = next((t for t, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
-            yield [cell[0] for cell in cells]
+            readings.append(read([cell[0] for cell in cells]))
             continue
         tried: list[int] = []
         for v in cells[target]:
@@ -229,6 +234,7 @@ def leaf_orders(cells: list[list[int]], neighbours, twins):
             tried.append(v)
             rest = [u for u in cells[target] if u != v]
             pending.append(cells[:target] + [[v], rest] + cells[target + 1:])
+    return min(readings)
 
 
 def row_components(matrix) -> tuple[tuple[int, ...], ...]:
@@ -274,7 +280,8 @@ def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int,
 
     The sum is over fillings T, weakly increasing along each row, of
     q^#{(c, d): bit d of out[c], T(c) < T(d)}, so two relabellings of the
-    input keep the polynomial, and normal_form picks one input per class:
+    input keep the polynomial, and normal_form picks one input per class,
+    the least reading of least_reading's search over the rows:
     - Reordering the rows renames the cells, so it sums the same fillings
       with the same inversions.
     - The reversal transposes the relation and mirrors the cells inside

@@ -171,6 +171,11 @@ class QPoly:
     __repr__ = __str__
 
 
+def _combined(terms) -> QPoly:
+    """The QPoly sum of n * c over unchecked (int n, QPoly c) pairs."""
+    return QPoly._of_counts(_summed([(e, n * a) for n, c in terms for e, a in c._coeffs.items()]))
+
+
 def _as_qpoly(x):
     """x as a QPoly, an int or a Fraction as a constant; else NotImplemented."""
     if isinstance(x, QPoly):
@@ -441,12 +446,12 @@ def _jacobi_trudi(schur: dict, basis: str) -> dict:
     """The h- or e-coefficients (basis "h" or "e") of sum_nu schur[nu] s_nu:
     s_nu = sum_w sgn(w) h_{nu + delta - w(delta)}, and the same in e on
     the conjugate nu' (Macdonald I.3.4, I.3.5)."""
-    pairs: dict[tuple[int, ...], list] = {}
+    terms: dict[tuple[int, ...], list] = {}
     for nu, c in schur.items():
         for lam, n in _antisymmetrised(_conjugate(nu) if basis == "e" else nu).items():
             if n:
-                pairs.setdefault(lam, []).extend((e, n * a) for e, a in c._coeffs.items())
-    return {lam: QPoly(p) for lam, p in pairs.items()}
+                terms.setdefault(lam, []).append((n, c))
+    return {lam: _combined(t) for lam, t in terms.items()}
 
 
 def _merge_count(parts: tuple[int, ...], room: tuple[int, ...], memo: dict) -> int:
@@ -474,14 +479,11 @@ def _solve(order, given: dict, row, diag=None) -> dict:
     solved: dict[tuple[int, ...], QPoly] = {}
     for mu in order:
         entry = row(mu)
-        acc = dict(given[mu]._coeffs) if mu in given else {}
-        for nu, x in solved.items():
-            if n := entry(nu):
-                for e, a in x._coeffs.items():
-                    acc[e] = acc.get(e, 0) - n * a
-        if any(acc.values()):
+        terms = [(1, given[mu])] if mu in given else []
+        terms += [(-n, x) for nu, x in solved.items() if (n := entry(nu))]
+        if acc := _combined(terms):
             d = 1 if diag is None else diag(mu)
-            solved[mu] = QPoly(acc) if d == 1 else QPoly(acc) * Fraction(1, d)
+            solved[mu] = acc if d == 1 else acc * Fraction(1, d)
     return solved
 
 
@@ -586,7 +588,6 @@ def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
         )
     parts = list(partitions_of(f.degree, max_len=f.k))
     coords = f._coeffs
-    coeffs: dict[tuple[int, ...], QPoly] = {}
     if basis == "m":
         coeffs = {mu: coords[mu] for mu in parts if mu in coords}
     elif basis == "p":
@@ -595,15 +596,9 @@ def to_basis(f: SymFunc, basis: str) -> BasisExpansion:
                         lambda mu: lambda lam: _merge_count(lam, mu, memo),
                         lambda mu: _merge_count(mu, mu, memo))
     else:
-        for lam in parts:
-            # plain numbers first: most of these sums cancel to zero
-            acc: dict[int, object] = {}
-            for mu, n in _antisymmetrised(lam).items():
-                if n and mu in coords:
-                    for e, a in coords[mu]._coeffs.items():
-                        acc[e] = acc.get(e, 0) + n * a
-            if any(acc.values()):
-                coeffs[lam] = QPoly(acc)
+        # plain numbers first: most of these sums cancel to zero
+        coeffs = {lam: c for lam in parts if (c := _combined(
+            (n, coords[mu]) for mu, n in _antisymmetrised(lam).items() if n and mu in coords))}
         if basis != "s":
             coeffs = _jacobi_trudi(coeffs, basis)
     return BasisExpansion(basis, f.degree, coeffs)

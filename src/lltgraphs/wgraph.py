@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     PreconditionViolated,
 )
-from .llt import leaf_orders, llt_input, llt_poly
+from .llt import least_reading, llt_input, llt_poly
 from .qsymfunc import SymFunc, _check_int
 from .strips import HorizontalStrip, Row, m_pair
 
@@ -183,39 +183,17 @@ def canonical_form(g: WeightedGraph):
     """Total isomorphism invariant: two graphs have equal forms exactly
     when they are isomorphic.
 
-    The vertices start in cells of equal weight, by increasing weight,
-    and llt.leaf_orders refines and individualises them, labelling each
-    nonzero edge by its weight. Twins, whose matrix rows are equal off
-    the pair, are swapped by an automorphism, so the search tries one of
-    them. Each leaf orders all vertices; the least upper-triangle edge
-    matrix read in a leaf order is the key.
+    llt.least_reading keys the vertices by weight, labels each nonzero
+    edge by its weight, and reads the upper-triangle edge matrix in each
+    leaf order; the least reading, beside the sorted weights, is the key.
 
     The value is opaque: use it only for equality and hashing.
     """
-    n = g.n
-    neighbours = [
-        [(u, w) for u, w in enumerate(row) if w] for row in g.matrix
-    ]
-
-    def twins(u: int, v: int) -> bool:
-        row_u, row_v = g.matrix[u], g.matrix[v]
-        return all(
-            row_u[x] == row_v[x] for x in range(n) if x != u and x != v
-        )
-
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(g.weights[v], []).append(v)
-    best = None
-    for order in leaf_orders([classes[w] for w in sorted(classes)], neighbours, twins):
-        key = tuple(
-            g.matrix[order[a]][order[b]]
-            for a in range(n)
-            for b in range(a + 1, n)
-        )
-        if best is None or key < best:
-            best = key
-    return (tuple(sorted(g.weights)), best)
+    n, matrix = g.n, g.matrix
+    return tuple(sorted(g.weights)), least_reading(
+        g.weights, [[(u, w) for u, w in enumerate(row) if w] for row in matrix],
+        lambda order: tuple(matrix[order[a]][order[b]]
+                            for a in range(n) for b in range(a + 1, n)))
 
 
 def predict_dc_graphs(g: WeightedGraph, i: int, j: int, mij: int):

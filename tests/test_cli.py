@@ -470,13 +470,17 @@ def test_package_runs_as_a_module():
 # converse pair, before connected and split buckets shared one rule,
 # verify_3_3_4.json before split buckets were checked component by
 # component, verify_4_2_2.json, with one converse pair, before inputs
-# were memoised by normal form, the others before the sweep shared any
-# work between strips
+# were memoised by normal form, verify_7_1_3.json, with 33 converse pairs,
+# before canonical_form and normal_form shared one least-reading search,
+# the others before the sweep shared any work between strips; CI also
+# replays verify_4_3_4.json, recorded with verify_7_1_3.json, which takes
+# too long here
 GOLDEN_VERIFY = {
     "verify_4_2_2.json": ["--max-rows", "4", "--max-len", "2", "--max-offset", "2"],
     "verify_3_3_4.json": ["--max-rows", "3", "--max-len", "3", "--max-offset", "4"],
     "verify_4_1_4.json": ["--max-rows", "4", "--max-len", "1", "--max-offset", "4"],
     "verify_5_1_4.json": ["--max-rows", "5", "--max-len", "1", "--max-offset", "4"],
+    "verify_7_1_3.json": ["--max-rows", "7", "--max-len", "1", "--max-offset", "3"],
     "verify_4_2_3_sample100_seed1675479830.json": [
         "--max-rows", "4", "--max-len", "2", "--max-offset", "3",
         "--sample", "100", "--seed", "1675479830",

@@ -17,7 +17,7 @@ from lltgraphs import (
     to_basis,
 )
 from lltgraphs.errors import MismatchedVariableCount, NotUnicellular, PreconditionViolated
-from lltgraphs.llt import llt_input, llt_of_input, normal_form, row_components
+from lltgraphs.llt import least_reading, llt_input, llt_of_input, normal_form, row_components
 from lltgraphs.qsymfunc import SymFunc, partitions_of
 from lltgraphs.strips import HorizontalStrip, Row
 
@@ -332,6 +332,79 @@ def test_normal_form_picks_one_input_of_each_relabelling_class(rows, data):
     assert normal_form(*relabelled(sizes, out, order, data.draw(st.booleans()))) == form
     assert form in {relabelled(sizes, out, order, reverse)
                     for order in permutations(range(len(sizes))) for reverse in (False, True)}
+
+
+# partitions of 3..7 into cycles of at least three vertices
+CYCLE_LENGTHS = [(3,), (4,), (5,), (6,), (3, 3), (7,), (3, 4)]
+LABELS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+@st.composite
+def labelled_structures(draw):
+    """(keys, arcs) on up to 7 vertices: arcs[u, v] is the label of v seen
+    from u, and arcs[v, u] its swap. Half are unions of cycles with one key
+    and one label throughout, where refinement splits nothing."""
+    if draw(st.booleans()):
+        lengths = draw(st.sampled_from(CYCLE_LENGTHS))
+        a, b = draw(st.sampled_from(LABELS))
+        keys, arcs = [0] * sum(lengths), {}
+        first = 0
+        for length in lengths:
+            for t in range(length):
+                u, v = first + t, first + (t + 1) % length
+                arcs[u, v], arcs[v, u] = (a, b), (b, a)
+            first += length
+        return keys, arcs
+    n = draw(st.integers(1, 7))
+    keys = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    arcs = {}
+    for u, v in combinations(range(n), 2):
+        label = draw(st.sampled_from([None, *LABELS]))
+        if label:
+            arcs[u, v], arcs[v, u] = label, label[::-1]
+    return keys, arcs
+
+
+def _least(keys, arcs):
+    """least_reading of the structure, read as its keys and every arc's
+    label (or (0, 0) for none) in the leaf order: a complete reading."""
+    n = len(keys)
+    neighbours = [[(v, arcs[u, v]) for v in range(n) if (u, v) in arcs] for u in range(n)]
+    return least_reading(keys, neighbours, lambda order: (
+        [keys[v] for v in order], [arcs.get((u, v), (0, 0)) for u in order for v in order]))
+
+
+def _moved(keys, arcs, perm):
+    """The structure with vertex v renamed perm[v]."""
+    moved = [0] * len(keys)
+    for v, key in enumerate(keys):
+        moved[perm[v]] = key
+    return moved, {(perm[u], perm[v]): label for (u, v), label in arcs.items()}
+
+
+def _isomorphic(first, second) -> bool:
+    """Whether some renaming of the first structure's vertices gives the
+    second, by trying every permutation."""
+    if len(first[0]) != len(second[0]):
+        return False
+    return any(_moved(*first, perm) == second for perm in permutations(range(len(first[0]))))
+
+
+@settings(max_examples=150)
+@given(structure=labelled_structures(), data=st.data())
+def test_least_reading_is_kept_by_relabelling_and_separates_non_isomorphic(structure, data):
+    """Renaming the vertices keeps least_reading: a random renaming, and each
+    that swaps vertex 0 with another, so that every vertex comes first once.
+    Two structures have equal least readings exactly when one is a renaming
+    of the other."""
+    keys, arcs = structure
+    n = len(keys)
+    least = _least(keys, arcs)
+    swaps = [[v if u == 0 else 0 if u == v else u for u in range(n)] for v in range(n)]
+    for perm in [data.draw(st.permutations(range(n))), *swaps]:
+        assert _least(*_moved(keys, arcs, perm)) == least
+    other = data.draw(labelled_structures())
+    assert (_least(*other) == least) == _isomorphic(structure, other)
 
 
 @settings(max_examples=80)
