@@ -51,7 +51,7 @@ def _colouring_sum(weights, edges, ascents, k: int) -> SymFunc:
         return [(done | s, sum(1 for a, b in ascents if a & s and not b & (done | s)))
                 for s in by_weight.get(m, ()) if not s & done]
 
-    return partition_dp(k, sum(weights), 0, (1 << len(weights)) - 1, moves)
+    return partition_dp(k, sum(weights), len(weights), moves)
 
 
 def extended_chromatic(graph: WeightedGraph, k: int) -> SymFunc:

@@ -122,26 +122,24 @@ def run_verify(
     Strips with one labelled graph share one canonical form and one split
     of their rows into row_components. The engine llt_of_input is a pure
     function of llt_input's pair, and inputs with one normal_form share
-    their polynomial, so two memos, kept for the call, map each pair it
-    is asked for, a whole strip or a component, to the id of its
-    polynomial: one by the pair itself and, where that misses, one by its
-    normal form. The engine runs once per normal form, on the normal
-    form. A strip is keyed by the sorted pairs of its components; a
-    connected strip is its own one component. A member agrees with its
-    bucket's first strip when their keys are equal, or else their
+    their polynomial. One memo, kept for the call, maps each pair asked
+    for, a whole strip or a component, and each normal form run, to the
+    id of its polynomial; a normal form is an input of its own class, so
+    the engine runs once per class, on its normal form. A strip is keyed
+    by the inputs of its components; a connected strip is its own one
+    component. A member agrees with its bucket's first strip when their
     component polynomials are equal as multisets, or else their whole
     polynomials are.
 
     The converse count groups the first strips by whole polynomial, but
-    runs a first whole only when a member comparison has already asked
-    for it, or when its screen equals another first's. The screen of a
-    first with n cells is its m-coefficients on the partitions lam with
-    lam_1 >= n - 2, which partition_dp lists first and so computes
-    exactly before it stops, run on the first's own pair; a screen that
-    would cover every partition is the whole polynomial. Polynomials with different screens differ, so
-    a first whose screen no other first shares is in no converse pair;
-    equal screens prove nothing, and those firsts are grouped by their
-    whole polynomials, in bucket order."""
+    runs a first whole only when the memo already holds it, or when its
+    screen equals another first's. The screen of a first with n cells is
+    its m-coefficients on the partitions lam with lam_1 >= n - 2, which
+    partition_dp lists first and so computes exactly before it stops,
+    run on the first's own pair. Polynomials with different screens
+    differ, so a first whose screen no other first shares is in no
+    converse pair; equal screens prove nothing, and those firsts are
+    grouped by their whole polynomials, in bucket order."""
     strips = sweep_family(max_rows, max_len, max_offset, sample, seed)
     nvars = k if k is not None else max_rows
     forms: dict[WeightedGraph, tuple] = {}  # freed once the strips are bucketed
@@ -155,28 +153,27 @@ def run_verify(
             known = forms[graph] = canonical_form(graph), splits.setdefault(groups, groups)
         buckets.setdefault(known[0], []).append((strip, known[1]))
     del forms
-    ids: dict[tuple, int] = {}  # engine input -> id of its polynomial
-    class_ids: dict[tuple, int] = {}  # normal form -> id of its polynomial
+    ids: dict[tuple, int] = {}  # engine input or normal form -> id of its polynomial
     poly_ids: dict[SymFunc, int] = {}
     polys: list[SymFunc] = []  # by id
 
     def poly_id(pair) -> int:
         if pair not in ids:
             form = normal_form(*pair)
-            if form not in class_ids:
+            if form not in ids:
                 f = llt_of_input(*form, nvars)
                 if f not in poly_ids:
                     poly_ids[f] = len(polys)
                     polys.append(f)
-                class_ids[form] = poly_ids[f]
-            ids[pair] = class_ids[form]
+                ids[form] = poly_ids[f]
+            ids[pair] = ids[form]
         return ids[pair]
 
     def key(strip, groups) -> tuple:
         if len(groups) == 1:
             return (llt_input(strip),)
-        return tuple(sorted(llt_input(HorizontalStrip(tuple(strip.rows[i] for i in g)))
-                            for g in groups))
+        return tuple(llt_input(HorizontalStrip(tuple(strip.rows[i] for i in g)))
+                     for g in groups)
 
     def whole(strip, key) -> tuple:
         return key[0] if len(key) == 1 else llt_input(strip)
@@ -187,25 +184,19 @@ def run_verify(
         firsts.append((first, first_key))
         for other, groups in others:
             other_key = key(other, groups)
-            if not (other_key == first_key
-                    or sorted(map(poly_id, other_key)) == sorted(map(poly_id, first_key))
+            if not (sorted(map(poly_id, other_key)) == sorted(map(poly_id, first_key))
                     or poly_id(whole(other, other_key)) == poly_id(whole(first, first_key))):
                 mismatches.append([first.literal, other.literal])
-    leading: dict[int, tuple] = {}  # cell count -> (exponents of lam_1 >= n - 2, all?)
+    leading: dict[int, list] = {}  # cell count -> exponents of the lam with lam_1 >= n - 2
     screened = []  # (first strip, its whole input, its screen)
     for first, first_key in firsts:
         pair = whole(first, first_key)
         n = len(pair[1])
         if n not in leading:
-            every = partitions_of(n, nvars)
-            exps = [lam + (0,) * (nvars - len(lam)) for lam in every if lam[0] >= n - 2]
-            leading[n] = exps, len(exps) == len(every)
-        exps, covered = leading[n]
-        if pair in ids or covered:
-            f = polys[poly_id(pair)]
-        else:
-            f = llt_of_input(*pair, nvars, n - 2)
-        screened.append((first, pair, (n, tuple(map(f.coeff, exps)))))
+            leading[n] = [lam + (0,) * (nvars - len(lam))
+                          for lam in partitions_of(n, nvars) if lam[0] >= n - 2]
+        f = polys[ids[pair]] if pair in ids else llt_of_input(*pair, nvars, n - 2)
+        screened.append((first, pair, (n, tuple(map(f.coeff, leading[n])))))
     shared = Counter(screen for _, _, screen in screened)
     by_poly: dict[int, list[HorizontalStrip]] = {}  # whole polynomial id -> first strips
     for first, pair, screen in screened:

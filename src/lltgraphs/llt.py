@@ -11,11 +11,12 @@ polynomial.
 The statistic is local in the cells, as in Haglund-Haiman-Loehr (JAMS
 2005), so llt_poly never lists tableaux. partition_dp places the letters
 1, 2, ... in turn, once per partition of the total, and reads the other
-monomials off by symmetry. Its callers only list the moves of one letter
-from a bitmask state: for strips the state holds the filled cells, and
-each cell's inversions with cells still empty are a popcount of its
-mask; the colouring sums of chromatic.py colour one independent set per
-letter, counting ascents into vertices still uncoloured. The independent
+monomials off by symmetry, from the empty bitmask to the full one. Its
+callers give the mask's width and list the moves of one letter from a
+state: for strips the state holds the filled cells, and each cell's
+inversions with cells still empty are a popcount of its mask; the
+colouring sums of chromatic.py colour one independent set per letter,
+counting ascents into vertices still uncoloured. The independent
 cell-pair count lives in the test oracle.
 """
 
@@ -28,13 +29,14 @@ from .qsymfunc import SymFunc, _check_int, partitions_of
 from .strips import HorizontalStrip
 
 
-def partition_dp(k: int, total: int, start, end, moves, _lead: int = 0) -> SymFunc:
+def partition_dp(k: int, total: int, width: int, moves, _lead: int = 0) -> SymFunc:
     """The symmetric polynomial in k variables of degree total whose
-    coefficient on x^lam is the count a letter DP reaches at state end.
+    coefficient on x^lam is the count a letter DP over bitmasks of width
+    bits reaches at the full mask, all width bits set.
 
     moves(state, m) lists the pairs (next_state, q_shift) that place the
-    next letter m times. From the layer {start: {0: 1}}, mapping each
-    state to its count by power of q, each letter moves every state of
+    next letter m times. From the layer {0: {0: 1}}, the empty mask
+    mapped to its count by power of q, each letter moves every state of
     the layer and adds its counts, shifted by q_shift, at next_state. The
     DP runs once per partition lam of total with at most k parts, letter
     i placed lam_i times; partitions with a common prefix share their
@@ -62,7 +64,7 @@ def partition_dp(k: int, total: int, start, end, moves, _lead: int = 0) -> SymFu
         return out
 
     # layers[i] follows i letters of before; partitions_of keeps prefixes together
-    before, layers = (), [{start: {0: 1}}]
+    before, layers = (), [{0: {0: 1}}]
     for lam in partitions_of(total, max_len=k):
         if lam and lam[0] < _lead:
             break
@@ -72,7 +74,7 @@ def partition_dp(k: int, total: int, start, end, moves, _lead: int = 0) -> SymFu
         del layers[shared + 1:]
         for m in lam[shared:]:
             layers.append(step(layers[-1], m))
-        coeffs[lam] = layers[-1].get(end, {})
+        coeffs[lam] = layers[-1].get((1 << width) - 1, {})
         before = lam
     return SymFunc._of_counts(k, total, coeffs)
 
@@ -329,4 +331,4 @@ def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int,
                       for size, got, o in opts[:left + 1] if left - size <= room]
         return [(after, (wide & ~(after * repeat)).bit_count()) for _, after, wide in combos]
 
-    return partition_dp(k, n, 0, full, moves, _lead)
+    return partition_dp(k, n, n, moves, _lead)

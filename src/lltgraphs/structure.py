@@ -395,22 +395,18 @@ def similarity_witness(
         path.append(parent[path[-1]])
     path.reverse()
     # each step's move is the first in its node's list that gives the next
-    # node, as it was when the search found that node
-    chain: list[Move] = []
-    for node, nxt in zip(path, path[1:]):
-        back = chain[-1] if chain else None
-        chain.append(next(move for move, state in _neighbours(node, back) if state == nxt))
-
-    # replay from lam with a translate to content 0 before each move that
-    # needs it, and one translate onto mu after the last
+    # node, as it was when the search found that node; the replay from lam
+    # puts a translate to content 0 before each move that needs it, and
+    # one translate onto mu after the last
     moves: list[Move] = []
-    current = lam
-    for move in chain:
+    current, back = lam, None
+    for node, nxt in zip(path, path[1:]):
+        back = next(move for move, state in _neighbours(node, back) if state == nxt)
         if current.min_content != 0:
             moves.append(("translate", -current.min_content))
             current = translate(current, -current.min_content)
-        moves.append(move)
-        current = apply_move(current, move)
+        moves.append(back)
+        current = apply_move(current, back)
     shift = mu.min_content - current.min_content
     if shift != 0:
         moves.append(("translate", shift))

@@ -121,6 +121,20 @@ class WeightedGraph:
 
 
 def pi_graph(strip: HorizontalStrip) -> WeightedGraph:
+    """The strip's weighted graph: row sizes as vertex weights, and
+    m_pair(r, s) on the edge of rows r before s.
+
+    It is a function of llt_input(strip), whose sizes are the weights,
+    so strips with equal inputs have equal labelled graphs. Take rows r
+    before s and cells p of r and q of s, numbered within their rows. A
+    bit from q to p means equal contents, so r.lo - s.lo = q - p; a bit
+    from p to q means q is one content lower, so r.lo - s.lo = q - p + 1.
+    Any bit between the rows thus fixes that gap. When it is at most 0,
+    m_pair(r, s) is the overlap of r and s, one bit from s to r per
+    shared content; otherwise it is the overlap of r with s shifted up
+    one, one bit from r to s per such content. With no bit, both counts
+    are 0, and so is m_pair(r, s).
+    """
     rows = strip.rows
     n = len(rows)
     matrix = [[0] * n for _ in range(n)]

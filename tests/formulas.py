@@ -4,6 +4,7 @@ oracle.py, which imports nothing from lltgraphs, these use its types."""
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from lltgraphs import (
@@ -90,6 +91,32 @@ def mask_components(sizes, out) -> list[tuple[int, ...]]:
                 for i in joined:
                     component[i] = joined
     return sorted({tuple(sorted(rows)) for rows in component.values()})
+
+
+def graph_of_input(sizes, out) -> tuple[tuple[int, ...], ...]:
+    """The pi_graph matrix read from an llt_input pair alone. Take rows
+    r before s, cells p of r and q of s numbered within their rows. A bit
+    from q to p puts r.lo - s.lo at q - p, one from p to q at q - p + 1.
+    The pair's entry counts the bits from s to r when that gap is at
+    most 0, those from r to s when it is above 0, and is 0 when no bit
+    joins the rows."""
+    firsts = [sum(sizes[:r]) for r in range(len(sizes))]
+    row_of = [r for r, size in enumerate(sizes) for _ in range(size)]
+    gaps, down, up = {}, Counter(), Counter()  # keyed by (r, s), r < s
+    for c, mask in enumerate(out):
+        for d in range(len(out)):
+            if mask >> d & 1:
+                a, b = row_of[c], row_of[d]
+                if a > b:  # from cell q of s = a to cell p of r = b
+                    gaps[b, a] = (c - firsts[a]) - (d - firsts[b])
+                    down[b, a] += 1
+                else:  # from cell p of r = a to cell q of s = b
+                    gaps[a, b] = (d - firsts[b]) - (c - firsts[a]) + 1
+                    up[a, b] += 1
+    matrix = [[0] * len(sizes) for _ in sizes]
+    for (r, s), gap in gaps.items():
+        matrix[r][s] = matrix[s][r] = down[r, s] if gap <= 0 else up[r, s]
+    return tuple(map(tuple, matrix))
 
 
 def is_noncommuting_path(strip: HorizontalStrip, indices: tuple[int, ...]) -> bool:

@@ -473,8 +473,9 @@ def test_package_runs_as_a_module():
 # were memoised by normal form, verify_7_1_3.json, with 33 converse pairs,
 # before canonical_form and normal_form shared one least-reading search,
 # the others before the sweep shared any work between strips; CI also
-# replays verify_4_3_4.json, recorded with verify_7_1_3.json, which takes
-# too long here
+# replays verify_4_3_4.json, recorded with verify_7_1_3.json, and the
+# multi-cell verify_4_3_5.json and verify_5_2_3.json, recorded before
+# verify kept one memo and one agreement rule, which take too long here
 GOLDEN_VERIFY = {
     "verify_4_2_2.json": ["--max-rows", "4", "--max-len", "2", "--max-offset", "2"],
     "verify_3_3_4.json": ["--max-rows", "3", "--max-len", "3", "--max-offset", "4"],
@@ -634,14 +635,13 @@ def _engine_runs(family, sample, seed, k, engine):
     """The engine runs run_verify should make, each once per call, as a
     Counter of (sizes, out) for a whole run and (sizes, out, lead) for a
     screen. An input asked for whole runs once per normal-form class, on
-    its normal form. Member comparisons ask for the component inputs of
-    both strips wherever a member's key, its components' sorted inputs,
-    is not the first strip's, and for both strips whole where their
-    component polynomials differ as a multiset. Then each first not yet
-    asked for whole gets a screen at lead n - 2, n its cell count, on its
-    own input, or is asked for whole where that screen would cover every
-    partition; and each first whose screen, its coefficients at those
-    partitions, another first shares is asked for whole."""
+    its normal form. Every member comparison asks for the component
+    inputs of both strips, its key, and for both strips whole where their
+    component polynomials differ as a multiset. Then each first whose
+    input is neither asked for nor a normal form already run gets a
+    screen at lead n - 2, n its cell count, on its own input; and each
+    first whose screen, its coefficients at those partitions, another
+    first shares is asked for whole."""
     nvars = k if k is not None else family[0]
     buckets = {}
     for strip in sweep_family(*family, sample, seed):
@@ -649,8 +649,8 @@ def _engine_runs(family, sample, seed, k, engine):
 
     def key(strip):
         groups = mask_components(*llt.llt_input(strip))
-        return tuple(sorted(llt.llt_input(HorizontalStrip(tuple(strip.rows[i] for i in g)))
-                            for g in groups))
+        return tuple(llt.llt_input(HorizontalStrip(tuple(strip.rows[i] for i in g)))
+                     for g in groups)
 
     def polys(key):
         return Counter(engine(*pair, nvars) for pair in key)
@@ -658,21 +658,20 @@ def _engine_runs(family, sample, seed, k, engine):
     asked, screens = set(), []
     for first, *others in buckets.values():
         for other in others:
-            if key(other) != key(first):
-                asked.update(key(other) + key(first))
-                if polys(key(other)) != polys(key(first)):
-                    asked.update([llt.llt_input(other), llt.llt_input(first)])
+            asked.update(key(other) + key(first))
+            if polys(key(other)) != polys(key(first)):
+                asked.update([llt.llt_input(other), llt.llt_input(first)])
+    run = asked | {llt.normal_form(*pair) for pair in asked}
     by_screen = {}
     for first, *_ in buckets.values():
         pair = llt.llt_input(first)
         n = len(pair[1])
-        leading = [lam for lam in partitions_of(n, nvars) if lam[0] >= n - 2]
-        if pair in asked or leading == partitions_of(n, nvars):
-            asked.add(pair)
+        if pair in run:
             f = engine(*pair, nvars)
         else:
             screens.append(pair + (n - 2,))
             f = engine(*pair, nvars, n - 2)
+        leading = [lam for lam in partitions_of(n, nvars) if lam[0] >= n - 2]
         screen = (n, tuple(f.coeff(lam + (0,) * (nvars - len(lam))) for lam in leading))
         by_screen.setdefault(screen, []).append(pair)
     asked.update(pair for same in by_screen.values() if len(same) > 1 for pair in same)

@@ -27,8 +27,10 @@ from lltgraphs.errors import (
     PreconditionViolated,
 )
 from lltgraphs.strips import HorizontalStrip, Row
+from lltgraphs.llt import llt_input
 from lltgraphs.wgraph import llt_of_graph
 
+from formulas import graph_of_input
 from oracle import brute_isomorphic
 
 DATA = Path(__file__).parent / "data"
@@ -236,6 +238,18 @@ def test_gamma_graph_matches_the_content_rule_on_every_small_strip():
     assert [s for s in strips if gamma_graph(s) != reference_gamma_graph(s)] == []
 
 
+@settings(max_examples=200)
+@given(rows=st.lists(st.tuples(st.integers(-2, 6), st.integers(1, 4)), min_size=1, max_size=7))
+def test_pi_graph_is_read_from_the_engine_input(rows):
+    """pi_graph's docstring: each pair's weight is a count of mask bits
+    between the two rows, which the bits themselves pick, so strips with
+    equal llt_input have equal labelled graphs."""
+    strip = HorizontalStrip(tuple(Row(lo, lo + size - 1) for lo, size in rows))
+    sizes, out = llt_input(strip)
+    assert pi_graph(strip).weights == sizes
+    assert pi_graph(strip).matrix == graph_of_input(sizes, out)
+
+
 @st.composite
 def weighted_graphs(draw, n=None):
     """Vertex weights 1-3; each pair gets an edge weight up to the
@@ -278,6 +292,22 @@ def test_realize_finds_a_strip_for_a_relabelled_strip_graph(strip, data):
     found = realize(relabel(g, data.draw(st.permutations(range(g.n)))))
     assert found is not None
     assert canonical_form(pi_graph(found)) == canonical_form(g)
+
+
+def test_twin_rule_reads_labels():
+    """A 10-cycle of weight-2 edges with a weight-1 perfect matching.
+    Every vertex sees one edge of weight 1 and two of weight 2, so
+    refinement leaves one cell. Vertices 2 and 4 both see 1, 3 and 5,
+    with other weights, and no automorphism maps one to the other. A
+    twin rule in least_reading blind to labels would skip whichever of
+    them comes second, and give this graph and the copy with the two
+    swapped different forms."""
+    cycle = [(i, i % 10 + 1, 2) for i in range(1, 11)]
+    matching = [(2, 5, 1), (3, 10, 1), (4, 1, 1), (6, 8, 1), (9, 7, 1)]
+    g = WeightedGraph.from_edges((2,) * 10, cycle + matching)
+    swapped = relabel(g, [0, 3, 2, 1, 4, 5, 6, 7, 8, 9])
+    assert swapped != g
+    assert canonical_form(swapped) == canonical_form(g)
 
 
 @st.composite
