@@ -23,7 +23,7 @@ from . import compositions as comps
 from .chromatic import chrom_quasisym, extended_chromatic, path_llt_h_expansion
 from .errors import ParseError, PreconditionError, PreconditionViolated
 from .llt import llt_input, llt_of_input, llt_poly, normal_form, row_components
-from .qsymfunc import BasisExpansion, SymFunc, _check_int, partitions_of, to_basis
+from .qsymfunc import BasisExpansion, SymFunc, _check_int, to_basis
 from .strips import HorizontalStrip, Row, parse_strip, strip_of_composition
 from .structure import (
     find_minimal_ncp,
@@ -132,14 +132,14 @@ def run_verify(
     polynomials are.
 
     The converse count groups the first strips by whole polynomial, but
-    runs a first whole only when the memo already holds it, or when its
-    screen equals another first's. The screen of a first with n cells is
-    its m-coefficients on the partitions lam with lam_1 >= n - 2, which
-    partition_dp lists first and so computes exactly before it stops,
-    run on the first's own pair. Polynomials with different screens
-    differ, so a first whose screen no other first shares is in no
-    converse pair; equal screens prove nothing, and those firsts are
-    grouped by their whole polynomials, in bucket order."""
+    runs a first whole only when its screen equals another first's. The
+    screen of a first is its own pair run in min(k, 2) variables: its
+    k-variable polynomial with x_3 = ... = x_k = 0. Polynomials with
+    different screens differ, so a first whose screen no other first
+    shares is in no converse pair; equal screens prove nothing, and those
+    firsts are grouped by their whole polynomials, in bucket order. At
+    k = 1 the screen is the whole polynomial, x_1^n for every first of n
+    cells, which two variables would tell apart."""
     strips = sweep_family(max_rows, max_len, max_offset, sample, seed)
     nvars = k if k is not None else max_rows
     forms: dict[WeightedGraph, tuple] = {}  # freed once the strips are bucketed
@@ -155,17 +155,12 @@ def run_verify(
     del forms
     ids: dict[tuple, int] = {}  # engine input or normal form -> id of its polynomial
     poly_ids: dict[SymFunc, int] = {}
-    polys: list[SymFunc] = []  # by id
 
     def poly_id(pair) -> int:
         if pair not in ids:
             form = normal_form(*pair)
             if form not in ids:
-                f = llt_of_input(*form, nvars)
-                if f not in poly_ids:
-                    poly_ids[f] = len(polys)
-                    polys.append(f)
-                ids[form] = poly_ids[f]
+                ids[form] = poly_ids.setdefault(llt_of_input(*form, nvars), len(poly_ids))
             ids[pair] = ids[form]
         return ids[pair]
 
@@ -178,25 +173,17 @@ def run_verify(
     def whole(strip, key) -> tuple:
         return key[0] if len(key) == 1 else llt_input(strip)
 
-    mismatches, firsts = [], []
+    mismatches = []
+    screened = []  # (first strip, its whole input, its screen)
     for (first, groups), *others in buckets.values():
         first_key = key(first, groups)
-        firsts.append((first, first_key))
         for other, groups in others:
             other_key = key(other, groups)
             if not (sorted(map(poly_id, other_key)) == sorted(map(poly_id, first_key))
                     or poly_id(whole(other, other_key)) == poly_id(whole(first, first_key))):
                 mismatches.append([first.literal, other.literal])
-    leading: dict[int, list] = {}  # cell count -> exponents of the lam with lam_1 >= n - 2
-    screened = []  # (first strip, its whole input, its screen)
-    for first, first_key in firsts:
         pair = whole(first, first_key)
-        n = len(pair[1])
-        if n not in leading:
-            leading[n] = [lam + (0,) * (nvars - len(lam))
-                          for lam in partitions_of(n, nvars) if lam[0] >= n - 2]
-        f = polys[ids[pair]] if pair in ids else llt_of_input(*pair, nvars, n - 2)
-        screened.append((first, pair, (n, tuple(map(f.coeff, leading[n])))))
+        screened.append((first, pair, llt_of_input(*pair, min(nvars, 2))))
     shared = Counter(screen for _, _, screen in screened)
     by_poly: dict[int, list[HorizontalStrip]] = {}  # whole polynomial id -> first strips
     for first, pair, screen in screened:

@@ -29,7 +29,7 @@ from .qsymfunc import SymFunc, _check_int, partitions_of
 from .strips import HorizontalStrip
 
 
-def partition_dp(k: int, total: int, width: int, moves, _lead: int = 0) -> SymFunc:
+def partition_dp(k: int, total: int, width: int, moves) -> SymFunc:
     """The symmetric polynomial in k variables of degree total whose
     coefficient on x^lam is the count a letter DP over bitmasks of width
     bits reaches at the full mask, all width bits set.
@@ -66,8 +66,6 @@ def partition_dp(k: int, total: int, width: int, moves, _lead: int = 0) -> SymFu
     # layers[i] follows i letters of before; partitions_of keeps prefixes together
     before, layers = (), [{0: {0: 1}}]
     for lam in partitions_of(total, max_len=k):
-        if lam and lam[0] < _lead:
-            break
         shared = 0
         while shared < min(len(lam), len(before)) and lam[shared] == before[shared]:
             shared += 1
@@ -266,8 +264,7 @@ def row_components(matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
-def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int,
-                 _lead: int = 0) -> SymFunc:
+def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int) -> SymFunc:
     """The polynomial in k variables of a strip with row sizes sizes and
     cell inversion masks out, as llt_input gives them.
 
@@ -277,8 +274,7 @@ def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int,
     empty one; filling the set S adds popcount(out[c] & ~after) for each
     c in S, after being the filled cells once S is. The result is
     symmetric and stores just its m-coordinates; SymFunc.terms() spreads
-    them over the monomials. A positive _lead keeps only the coordinates
-    on partitions whose first part is at least _lead, as partition_dp does.
+    them over the monomials.
 
     The sum is over fillings T, weakly increasing along each row, of
     q^#{(c, d): bit d of out[c], T(c) < T(d)}, so two relabellings of the
@@ -331,4 +327,4 @@ def llt_of_input(sizes: tuple[int, ...], out: tuple[int, ...], k: int,
                       for size, got, o in opts[:left + 1] if left - size <= room]
         return [(after, (wide & ~(after * repeat)).bit_count()) for _, after, wide in combos]
 
-    return partition_dp(k, n, n, moves, _lead)
+    return partition_dp(k, n, n, moves)

@@ -156,7 +156,7 @@ def rotate(strip: HorizontalStrip, c: int) -> HorizontalStrip:
 
 def commute_swap(strip: HorizontalStrip, i: int) -> HorizontalStrip:
     """Exchange rows i and i+1, allowed only when they commute."""
-    if not 1 <= i <= strip.n - 1:
+    if not 1 <= _check_int(i, "row index") <= strip.n - 1:
         raise IndexOutOfRange(f"swap position {i} not in 1..{strip.n - 1}")
     a, b = strip.rows[i - 1], strip.rows[i]
     if not commutes(a, b):
@@ -174,7 +174,7 @@ def dc_triple(strip: HorizontalStrip, i: int):
     merged strip replaces the pair by union then intersection, the
     intersection dropped when empty.
     """
-    if not 1 <= i <= strip.n - 1:
+    if not 1 <= _check_int(i, "row index") <= strip.n - 1:
         raise IndexOutOfRange(f"position {i} not in 1..{strip.n - 1}")
     a, b = strip.rows[i - 1], strip.rows[i]
     if not (b.lo > a.lo) or commutes(a, b):

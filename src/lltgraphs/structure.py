@@ -209,7 +209,7 @@ def local_rotate(strip: HorizontalStrip, i: int) -> HorizontalStrip:
     5) leaves a free column between them.  Either way o and c commute.
     """
     n = strip.n
-    if i < 2 or i > n:
+    if not 2 <= _check_int(i, "row index") <= n:
         raise IndexOutOfRange(f"need 2 <= i <= {n}, got {i}")
     if strip.row(i).lo != strip.row(i - 1).hi + 1:
         raise PreconditionViolated("row i must start in the column after row i-1 ends")

@@ -1,5 +1,4 @@
 from itertools import combinations
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +23,6 @@ from lltgraphs import (
 import lltgraphs.chromatic as chromatic
 from lltgraphs.chromatic import chrom_quasisym
 from lltgraphs.errors import NotSymmetric, NotUnicellular, PreconditionViolated
-from lltgraphs.qsymfunc import partitions_of
 from lltgraphs.strips import HorizontalStrip, Row
 
 from formulas import path_graph, path_p_expansion, q_coefficients, strip_compose
@@ -211,32 +209,6 @@ def test_colouring_sums_match_brute_force_between_other_dp_runs(contents, k):
             first.weights, _pairs(first), k)
         assert _q_terms(chrom_quasisym(second, k)) == brute_chrom_quasisym(n, _pairs(second), k)
         assert _q_terms(llt_poly(left, k)) == llt_via_colourings(n, _pairs(g), k)
-
-
-@settings(max_examples=60)
-@given(
-    contents=st.lists(st.integers(-2, 3), min_size=1, max_size=6),
-    weights=st.lists(st.integers(1, 3), min_size=6, max_size=6),
-    k=st.integers(1, 4),
-    lead=st.integers(0, 8),
-)
-def test_a_lead_stops_both_colouring_sums_after_the_leading_partitions(
-        contents, weights, k, lead):
-    """partition_dp with a lead gives, for both colouring sums, the whole
-    sum's m-coordinates on the partitions whose first part is at least
-    lead, and no others."""
-    cells = gamma_graph(HorizontalStrip(tuple(Row(c, c) for c in contents)))
-    weighted = WeightedGraph.from_edges(weights[:cells.n], cells.edge_list())
-    real = chromatic.partition_dp
-    for colouring_sum, graph in ((chrom_quasisym, cells), (extended_chromatic, weighted)):
-        whole = colouring_sum(graph, k)
-        with patch.object(chromatic, "partition_dp", lambda *args: real(*args, lead)):
-            early = colouring_sum(graph, k)
-        assert (early.k, early.degree) == (whole.k, whole.degree)
-        for lam in partitions_of(whole.degree, k):
-            exps = lam + (0,) * (k - len(lam))
-            want = whole.coeff(exps) if lam[0] >= lead else QPoly.zero()
-            assert early.coeff(exps) == want
 
 
 def test_chrom_quasisym_refuses_or_matches_brute_force_on_small_graphs():

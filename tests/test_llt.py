@@ -18,7 +18,7 @@ from lltgraphs import (
 )
 from lltgraphs.errors import MismatchedVariableCount, NotUnicellular, PreconditionViolated
 from lltgraphs.llt import least_reading, llt_input, llt_of_input, normal_form, row_components
-from lltgraphs.qsymfunc import SymFunc, partitions_of
+from lltgraphs.qsymfunc import SymFunc
 from lltgraphs.strips import HorizontalStrip, Row
 
 from formulas import mask_components, q_coefficients, two_row_schur
@@ -405,20 +405,6 @@ def test_least_reading_is_kept_by_relabelling_and_separates_non_isomorphic(struc
         assert _least(*_moved(keys, arcs, perm)) == least
     other = data.draw(labelled_structures())
     assert (_least(*other) == least) == _isomorphic(structure, other)
-
-
-@settings(max_examples=80)
-@given(rows=brute_strips(max_rows=4), k=st.integers(1, 4), data=st.data())
-def test_a_lead_stops_the_engine_after_the_leading_partitions(rows, k, data):
-    """With a lead, llt_of_input gives the whole polynomial's m-coordinates
-    on the partitions whose first part is at least lead, and no others."""
-    sizes, out = llt_input(_strip(rows))
-    lead = data.draw(st.integers(0, len(out) + 1))
-    whole, early = llt_of_input(sizes, out, k), llt_of_input(sizes, out, k, lead)
-    assert (early.k, early.degree) == (whole.k, whole.degree)
-    for lam in partitions_of(len(out), k):
-        exps = lam + (0,) * (k - len(lam))
-        assert early.coeff(exps) == (whole.coeff(exps) if lam[0] >= lead else QPoly.zero())
 
 
 @pytest.mark.parametrize("k", [0, -1])

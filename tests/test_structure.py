@@ -39,6 +39,7 @@ from lltgraphs.strips import (
     Row,
     commute_swap,
     cycle,
+    dc_triple,
     rotate,
     translate,
 )
@@ -856,3 +857,12 @@ def test_counts_and_indices_refuse_bools_and_floats(call, message):
     TypeError naming the argument."""
     with pytest.raises(TypeError, match=f"^{re.escape(message)} is not an int$"):
         call()
+
+
+@pytest.mark.parametrize("index", [True, 1.0])
+@pytest.mark.parametrize("move", [dc_triple, commute_swap, local_rotate])
+def test_moves_refuse_a_bool_or_float_row_index(move, index):
+    """A row index True is not read as row 1, nor 1.0 as an int, by the
+    moves that take one."""
+    with pytest.raises(TypeError, match=f"^row index {index} is not an int$"):
+        move(SMALL, index)
