@@ -93,10 +93,10 @@ def path_llt_h_expansion(alpha, printed_sign: bool = False) -> BasisExpansion:
     each coarsening class lam contributes q^(len(lam)-1) (1-q)^(drop)
     h_lam, where drop is the number of merged break points.
 
-    The alternating (1-q) form is the one the direct tableau enumeration
-    confirms. printed_sign=True switches to a (q-1) power with no
+    The alternating (1-q) form is the one that matches llt_poly of the
+    path strip. printed_sign=True switches to a (q-1) power with no
     alternation; it is kept only so the difference can be demonstrated,
-    and it fails the oracle already at alpha = (1,1).
+    and it fails that match already at alpha = (1,1).
     """
     alpha = comps.as_composition(alpha)
     la = len(alpha)

@@ -46,6 +46,11 @@ def expansion_payload(exp: BasisExpansion) -> dict:
 
 
 def symfunc_payload(f: SymFunc) -> dict:
+    """The monomial listing; one of more than sys.maxsize exponents in
+    all is refused before any is padded to the variable count."""
+    if len(f) * f.k > sys.maxsize:
+        raise PreconditionViolated(f"cannot list {len(f)} monomials in {f.k} variables, "
+                                   f"more than {sys.maxsize} exponents")
     return {
         "vars": f.k,
         "degree": f.degree,
@@ -360,7 +365,7 @@ def cmd_chromatic(graph, strip, vars):
 @click.option("--printed-sign", is_flag=True, default=False,
               help="use the (q-1)-power variant instead of the alternating one")
 @click.option("--check-oracle", is_flag=True, default=False,
-              help="re-expand and compare against direct tableau enumeration")
+              help="re-expand and compare against the LLT polynomial engine")
 def cmd_path_llt(alpha, printed_sign, check_oracle):
     """Complete homogeneous expansion of a weighted path's polynomial."""
     comp = comps.parse_composition(alpha)

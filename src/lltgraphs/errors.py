@@ -59,8 +59,8 @@ class NotUnicellular(PreconditionError):
 
 # --- weighted graphs ---
 
-class NotRealizedWithinBound(PreconditionError):
-    """No strip realizing the graph was found within the offset bound."""
+class NotRealizable(PreconditionError):
+    """No horizontal strip has a graph isomorphic to the given one."""
 
 
 class GraphsNotIsomorphic(PreconditionError):

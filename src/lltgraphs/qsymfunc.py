@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm, prod
 from operator import sub
 
 from .errors import (
@@ -183,13 +183,6 @@ def _as_qpoly(x):
     return QPoly._of_counts(_summed([(0, x)])) if _exact(x) else NotImplemented
 
 
-def _orbit_size(exps: tuple[int, ...]) -> int:
-    size = factorial(len(exps))
-    for m in Counter(exps).values():
-        size //= factorial(m)
-    return size
-
-
 class _CoeffMap:
     """A map from partitions to nonzero QPoly coefficients in one degree,
     equal only to one of the same class with the same tag, _tag(), which
@@ -269,8 +262,11 @@ class SymFunc(_CoeffMap):
         return sorted(spread, key=lambda term: term[0], reverse=True)
 
     def __len__(self):
-        """The number of monomials."""
-        return sum(_orbit_size(_pad(lam, self.k)) for lam in self._coeffs)
+        """The number of monomials, counted without listing them: a stored
+        partition of length l has k!/(k - l)! placements of its parts in k
+        slots, each monomial met once per order of its equal parts."""
+        return sum(perm(self.k, len(lam)) // prod(map(factorial, Counter(lam).values()))
+                   for lam in self._coeffs)
 
     def _check_k(self, other: "SymFunc"):
         if self.k != other.k:

@@ -2,14 +2,15 @@
 
 The graph of a strip (pi_graph) has one vertex per row, weighted by the
 row size, with the pairing value as edge weight (zero meaning no edge).
-Strips with isomorphic graphs are conjectured, and here empirically
-verified, to share their symmetric polynomial, so the module also
-provides isomorphism search, a canonical key, the predicted
-deletion-contraction companion graphs, and bounded realization of a
-graph by a strip. The same type indexes the chromatic side: gamma_graph
-gives the unit-weight cell graph of a unicellular strip, whose vertex
-order is the labelling that ascents are counted along, and
-extended_chromatic reads any graph's nonzero edges as plain adjacency.
+Strips with isomorphic graphs share their symmetric polynomial (the
+paper's theorem, which verify checks on strip families), so the module
+also provides isomorphism search, a canonical key, the predicted
+deletion-contraction companion graphs, and realization of a graph by a
+strip, which decides whether one exists. The same type indexes the
+chromatic side: gamma_graph gives the unit-weight cell graph of a
+unicellular strip, whose vertex order is the labelling that ascents are
+counted along, and extended_chromatic reads any graph's nonzero edges as
+plain adjacency.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import chain
 
 from .errors import (
     IndexOutOfRange,
-    NotRealizedWithinBound,
+    NotRealizable,
     NotUnicellular,
     ParseError,
     PreconditionViolated,
@@ -210,25 +211,21 @@ def canonical_form(g: WeightedGraph):
                             for a in range(n) for b in range(a + 1, n)))
 
 
-def predict_dc_graphs(g: WeightedGraph, i: int, j: int, mij: int):
-    """Companion graphs of the deletion-contraction step, computed on
-    the graph alone.
+def predict_dc_graphs(g: WeightedGraph, i: int, j: int):
+    """Companion graphs of the deletion-contraction step at vertices i
+    and j, computed on the graph alone.
 
-    The first graph raises edge (i, j) by one. The second replaces the
-    pair by a union vertex (at the earlier position) of weight
-    w_i + w_j - M and an intersection vertex of weight M, joined by an
-    edge of weight M; edges to any other vertex of weight r use
-    min(r, max(M1, M2, M1 + M2 - M)) and min(M, M1, M2). A weight-zero
-    intersection vertex is dropped.
+    With M = edge(i, j), the first graph raises that edge by one. The
+    second replaces the pair by a union vertex (at the earlier position)
+    of weight w_i + w_j - M and an intersection vertex of weight M, joined
+    by an edge of weight M; edges to any other vertex of weight r, with
+    edges M1 and M2 to i and j, use min(r, max(M1, M2, M1 + M2 - M)) and
+    min(M, M1, M2). A weight-zero intersection vertex is dropped.
     """
     if i == j:
         raise IndexOutOfRange("need two distinct vertices")
     lo, hi = (i, j) if i < j else (j, i)
     m = g.edge(lo, hi)
-    if mij != m:
-        raise PreconditionViolated(
-            f"stated edge weight {mij} does not match edge({lo},{hi}) = {m}"
-        )
     a, b = lo - 1, hi - 1
     wl, wh = g.weights[a], g.weights[b]
     if m >= min(wl, wh):
@@ -252,22 +249,36 @@ def predict_dc_graphs(g: WeightedGraph, i: int, j: int, mij: int):
     return g1, g2
 
 
-def realize(g: WeightedGraph, bound: int | None = None):
-    """Search for a strip whose graph is g: one depth-first search that
-    picks the next row's vertex and lo together, so row orders with a
-    common prefix share its work and an order is dropped as soon as its
-    prefix fails. Vertices are tried in increasing order, each lo over
-    0..bound then -1..-bound, with the first row pinned at lo = 0; a vertex
-    with a nonzero edge to a placed row skips every lo that leaves the two
-    rows apart, where the pairing could only be 0. Returns
-    None when the search space is exhausted; that is not a proof that no
-    realization exists.
+def realize(g: WeightedGraph):
+    """A strip whose graph is isomorphic to g, or None when no strip has
+    such a graph.
+
+    One depth-first search picks the next row's vertex and lo together,
+    so row orders with a common prefix share its work and an order is
+    dropped as soon as its prefix fails. Vertices are tried in increasing
+    order, each lo over 0..n then -1..-n, n = sum(g.weights), with the
+    first row pinned at lo = 0. So every row order is tried, with every
+    lo within n of the first row's.
+
+    That window is complete, so None proves that no strip realizes g:
+    - A nonzero m_pair(r, s) needs s.lo in [r.lo - |s|, r.hi]: rows joined
+      by an edge overlap or touch. (So the search may skip, for a vertex
+      with a nonzero edge to a placed row, every lo outside that range.)
+      Hence each component of g covers a gap-free run of contents, no
+      longer than its cells.
+    - Take any realization. Move each component's rows, in their own
+      order, into one block of the strip, the blocks in the order of the
+      components' first rows, and lay the components' runs left to right
+      in that order, each touching the last. m_pair is translation
+      invariant, so pairings inside a component are kept. A row r of an
+      earlier block ends left of the start of a row s of a later one, so
+      m_pair(r, s) is their plain overlap, which is empty, as g's edge
+      between them is. So the new strip realizes g too.
+    - It spans at most n contents, so each lo is within n - 1 of its
+      first row's: inside the window.
     """
-    if bound is None:
-        bound = sum(g.weights)
-    if _check_int(bound, "offset bound") < 0:
-        raise ValueError("bound must be nonnegative")
-    offsets = list(range(0, bound + 1)) + list(range(-1, -bound - 1, -1))
+    n = sum(g.weights)
+    offsets = list(range(0, n + 1)) + list(range(-1, -n - 1, -1))
     placed: list[tuple[int, Row]] = []
 
     def extend() -> bool:
@@ -294,13 +305,11 @@ def realize(g: WeightedGraph, bound: int | None = None):
     return HorizontalStrip(tuple(row for _, row in placed)) if extend() else None
 
 
-def llt_of_graph(g: WeightedGraph, bound: int | None = None) -> SymFunc:
-    """Polynomial of any realization at k = vertex count."""
-    if bound is None:
-        bound = sum(g.weights)
-    strip = realize(g, bound)
+def llt_of_graph(g: WeightedGraph) -> SymFunc:
+    """Polynomial of any realization at k = vertex count: by the paper's
+    theorem every realization gives the same one. NotRealizable when no
+    strip realizes g."""
+    strip = realize(g)
     if strip is None:
-        raise NotRealizedWithinBound(
-            f"no realizing strip within offset bound {bound}"
-        )
+        raise NotRealizable("no horizontal strip has this graph")
     return llt_poly(strip, g.n)

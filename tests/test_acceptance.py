@@ -178,7 +178,7 @@ def test_criterion_05_deletion_contraction(criterion_log, sweep_main, sweep_uni)
                 problems.append(f"identity fails at ({strip}, {i})")
                 continue
             identities += 1
-            p1, p2 = predict_dc_graphs(pi_graph(strip), i, i + 1, m_ij(strip, i, i + 1))
+            p1, p2 = predict_dc_graphs(pi_graph(strip), i, i + 1)
             if canonical_form(p1) != canonical_form(pi_graph(swapped)):
                 problems.append(f"swap graph prediction wrong at ({strip}, {i})")
             elif canonical_form(p2) != canonical_form(pi_graph(merged)):

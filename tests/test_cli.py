@@ -416,6 +416,28 @@ def test_a_variable_count_past_sys_maxsize_is_refused(runner, args):
                      "message": f"cannot use {count} variables, more than {sys.maxsize}"}
 
 
+@pytest.mark.parametrize("command", ["llt", "chromatic"])
+def test_a_listing_of_more_than_sys_maxsize_exponents_is_refused(command):
+    """One cell in sys.maxsize variables has sys.maxsize monomials, each
+    of sys.maxsize exponents: refused before any is padded, with the
+    one-line JSON error and exit 3. The run gets 1 GiB of address space,
+    so a padded monomial ends in a MemoryError rather than in swap."""
+    resource = pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    result = subprocess.run(
+        [sys.executable, "-m", "lltgraphs", command, "--strip", "1/0", "--vars", str(sys.maxsize)],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert (result.returncode, result.stdout) == (3, "")
+    error = json.loads(result.stderr)["error"]
+    assert error == {"type": "PreconditionViolated", "exit_code": 3,
+                     "message": f"cannot list {sys.maxsize} monomials in {sys.maxsize} "
+                                f"variables, more than {sys.maxsize} exponents"}
+
+
 def test_verify_takes_a_variable_count_of_sys_maxsize(runner):
     """No strip of the 2/1/1 family has more than 2 cells, so sys.maxsize
     variables give the report of 2: screens and whole runs store

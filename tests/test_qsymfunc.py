@@ -621,6 +621,16 @@ def test_symfunc_edge_branches():
     assert str(SymFunc(2, 0, [((), 5)])) == "(5)*1"
 
 
+@given(k=st.integers(1, 7), n=st.integers(0, 6), data=st.data())
+def test_length_counts_the_listed_monomials(k, n, data):
+    """len counts each partition's rearrangements by formula, with no
+    padded vector built; terms() lists them."""
+    shapes = [lam for lam in partitions_of(n) if len(lam) <= k]
+    coords = data.draw(st.lists(st.tuples(st.sampled_from(shapes), st.integers(1, 5)), max_size=4))
+    f = SymFunc(k, n, coords)
+    assert len(f) == len(f.terms())
+
+
 def test_length_difference_and_reversed_subtraction():
     f = eval_basis("s", (2, 1), 3)
     assert len(f) == len(f.terms()) == 7

@@ -837,8 +837,6 @@ SMALL = parse_strip("2/0,3/1,5/3")
     [
         (lambda: similarity_witness(SMALL, cycle(SMALL), budget=True), "state budget True"),
         (lambda: similarity_witness(SMALL, cycle(SMALL), budget=2.5), "state budget 2.5"),
-        (lambda: realize(pi_graph(SMALL), True), "offset bound True"),
-        (lambda: realize(pi_graph(SMALL), 3.0), "offset bound 3.0"),
         (lambda: sweep_family(True, 1, 0), "family bound True"),
         (lambda: sweep_family(2, 1.0, 0), "family bound 1.0"),
         (lambda: sweep_family(2, 1, 0.0), "family bound 0.0"),
@@ -848,7 +846,7 @@ SMALL = parse_strip("2/0,3/1,5/3")
         (lambda: pi_graph(SMALL).edge(1, 2.0), "vertex index 2.0"),
         (lambda: pi_graph(SMALL).edge(9, 2.0), "vertex index 2.0"),
     ],
-    ids=["budget-bool", "budget-float", "bound-bool", "bound-float", "rows-bool",
+    ids=["budget-bool", "budget-float", "rows-bool",
          "len-float", "offset-float", "sample-bool", "row-bool", "edge-bool", "edge-float",
          "edge-float-beside-out-of-range"],
 )

@@ -22,16 +22,17 @@ from lltgraphs import (
 from lltgraphs.cli import main
 from lltgraphs.errors import (
     IndexOutOfRange,
-    NotRealizedWithinBound,
+    NotRealizable,
     ParseError,
     PreconditionViolated,
 )
 from lltgraphs.strips import HorizontalStrip, Row
 from lltgraphs.llt import llt_input
+from lltgraphs.qsymfunc import partitions_of
 from lltgraphs.wgraph import llt_of_graph
 
 from formulas import graph_of_input
-from oracle import brute_isomorphic
+from oracle import brute_isomorphic, m_pair as oracle_m_pair
 
 DATA = Path(__file__).parent / "data"
 
@@ -128,7 +129,7 @@ def test_predicted_companions_match_strip_route():
     lam = parse_strip("3/0,5/2")
     g = pi_graph(lam)
     swapped, merged = dc_triple(lam, 1)
-    g1, g2 = predict_dc_graphs(g, 1, 2, 1)
+    g1, g2 = predict_dc_graphs(g, 1, 2)
     assert canonical_form(g1) == canonical_form(pi_graph(swapped))
     assert canonical_form(g2) == canonical_form(pi_graph(merged))
     # here the weights are symmetric, so the match is exact, not just
@@ -140,7 +141,7 @@ def test_predicted_companions_match_strip_route():
 def test_predicted_companions_drop_empty_intersection():
     lam = parse_strip("1/0,2/1")
     g = pi_graph(lam)
-    g1, g2 = predict_dc_graphs(g, 1, 2, 0)
+    g1, g2 = predict_dc_graphs(g, 1, 2)
     assert g2.weights == (2,)
     swapped, merged = dc_triple(lam, 1)
     assert g2 == pi_graph(merged)
@@ -149,16 +150,14 @@ def test_predicted_companions_drop_empty_intersection():
 
 def test_predict_dc_graphs_preconditions():
     g = pi_graph(parse_strip("3/0,5/2"))
-    with pytest.raises(PreconditionViolated):
-        predict_dc_graphs(g, 1, 2, 2)  # wrong stated weight
     with pytest.raises(IndexOutOfRange, match="^need two distinct vertices$"):
-        predict_dc_graphs(g, 1, 1, 0)
+        predict_dc_graphs(g, 1, 1)
     for i, j in ((0, 1), (1, 3), (3, 1)):
         with pytest.raises(IndexOutOfRange, match=r"^vertex index not in 1\.\.2$"):
-            predict_dc_graphs(g, i, j, 0)
+            predict_dc_graphs(g, i, j)
     full = WeightedGraph.from_edges((2, 2), [(1, 2, 2)])
     with pytest.raises(PreconditionViolated):
-        predict_dc_graphs(full, 1, 2, 2)  # edge not below both weights
+        predict_dc_graphs(full, 1, 2)  # edge not below both weights
 
 
 def test_realize_unit_triangle():
@@ -179,21 +178,15 @@ def test_claw_is_not_realized():
     claw = WeightedGraph.from_edges(
         (1, 1, 1, 1), [(1, 2, 1), (1, 3, 1), (1, 4, 1)]
     )
-    assert realize(claw, bound=4) is None
-    with pytest.raises(NotRealizedWithinBound):
-        llt_of_graph(claw, bound=4)
+    assert realize(claw) is None
+    with pytest.raises(NotRealizable, match="^no horizontal strip has this graph$"):
+        llt_of_graph(claw)
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_unit_cycle_is_not_realized(n):
     cycle = WeightedGraph.from_edges((1,) * n, [(i, i % n + 1, 1) for i in range(1, n + 1)])
     assert realize(cycle) is None
-
-
-def test_llt_of_graph_names_the_default_bound_it_searched():
-    cycle = WeightedGraph.from_edges((1,) * 5, [(i, i % 5 + 1, 1) for i in range(1, 6)])
-    with pytest.raises(NotRealizedWithinBound, match="offset bound 5$"):
-        llt_of_graph(cycle)
 
 
 @pytest.mark.parametrize(
@@ -206,6 +199,46 @@ def test_from_edges_refuses_a_pair_given_twice(edges):
     payload = {"weights": [2, 2, 2], "edges": [list(e) for e in edges]}
     with pytest.raises(ParseError, match="given more than once"):
         WeightedGraph.from_json_dict(payload)
+
+
+def test_realize_decides_every_graph_of_total_weight_at_most_4():
+    """realize's docstring proves its offset window complete. Here every
+    graph of total weight n <= 4, weights sorted, is checked against all
+    strips of those row sizes with row starts in 0..3n-1: their graphs,
+    read with the oracle's pairing and closed under relabelling, are
+    exactly the graphs realize finds a strip for."""
+    graphs = refused = 0
+    for n in range(1, 5):
+        for weights in partitions_of(n):
+            pairs = list(itertools.combinations(range(len(weights)), 2))
+            labelled = set()
+            for sizes in set(itertools.permutations(weights)):
+                for starts in itertools.product(range(3 * n), repeat=len(sizes)):
+                    rows = [(lo, lo + size - 1) for lo, size in zip(starts, sizes)]
+                    labelled.add((sizes, tuple(oracle_m_pair(rows[i], rows[j])
+                                               for i, j in pairs)))
+            found_by_brute = set()
+            for sizes, edges in labelled:
+                edge = dict(zip(pairs, edges))
+                for perm in itertools.permutations(range(len(sizes))):
+                    if tuple(sizes[v] for v in perm) == weights:
+                        found_by_brute.add(tuple(edge[min(perm[a], perm[b]), max(perm[a], perm[b])]
+                                                 for a, b in pairs))
+            ranges = [range(min(weights[i], weights[j]) + 1) for i, j in pairs]
+            for edges in itertools.product(*ranges):
+                g = WeightedGraph.from_edges(
+                    weights, [(i + 1, j + 1, w) for (i, j), w in zip(pairs, edges)])
+                strip = realize(g)
+                graphs += 1
+                refused += strip is None
+                assert (strip is not None) == (edges in found_by_brute), g
+                if strip is not None:
+                    rows = [(r.lo, r.hi) for r in strip.rows]
+                    assert brute_isomorphic(
+                        g.weights, g.edge_list(), strip.sizes,
+                        [(i + 1, j + 1, oracle_m_pair(rows[i], rows[j]))
+                         for i, j in itertools.combinations(range(len(rows)), 2)])
+    assert (graphs, refused) == (93, 7)
 
 
 def test_llt_of_graph_agrees_with_direct_polynomial():
@@ -275,10 +308,10 @@ def relabel(g, perm):
 
 
 @st.composite
-def small_strips(draw):
-    """1-6 rows of 1-3 cells, every content in 0..6."""
+def small_strips(draw, max_rows=6):
+    """1-max_rows rows of 1-3 cells, every content in 0..6."""
     rows = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, max_rows))):
         lo = draw(st.integers(0, 6))
         size = draw(st.integers(1, min(3, 7 - lo)))
         rows.append(Row(lo, lo + size - 1))
@@ -292,6 +325,15 @@ def test_realize_finds_a_strip_for_a_relabelled_strip_graph(strip, data):
     found = realize(relabel(g, data.draw(st.permutations(range(g.n)))))
     assert found is not None
     assert canonical_form(pi_graph(found)) == canonical_form(g)
+
+
+@settings(max_examples=40)
+@given(strip=small_strips(max_rows=5), data=st.data())
+def test_llt_of_graph_of_a_relabelled_strip_graph_is_the_strip_polynomial(strip, data):
+    """The paper's theorem through the graph alone: any relabelling of a
+    strip's graph indexes the strip's own polynomial."""
+    g = relabel(pi_graph(strip), data.draw(st.permutations(range(strip.n))))
+    assert llt_of_graph(g) == llt_poly(strip, strip.n)
 
 
 def test_twin_rule_reads_labels():
@@ -459,11 +501,10 @@ def test_pi_cli_payload_loads_back_to_the_graph(rows):
         (lambda g: g.edge(1, 3), IndexOutOfRange),
         (lambda g: WeightedGraph.from_edges((1, 1), [(2, 2, 1)]), ValueError),
         (lambda g: WeightedGraph.from_edges((1, 1), [(1, 3, 1)]), ValueError),
-        (lambda g: realize(g, -1), ValueError),
-        (lambda g: predict_dc_graphs(g, 1, 3, 0), IndexOutOfRange),
+        (lambda g: predict_dc_graphs(g, 1, 3), IndexOutOfRange),
     ],
     ids=["edge-below", "edge-above", "loop", "endpoint-out-of-range",
-         "negative-bound", "dc-vertex-out-of-range"],
+         "dc-vertex-out-of-range"],
 )
 def test_error_paths(call, error):
     with pytest.raises(error):
