@@ -265,7 +265,8 @@ def _var_count(vars, default: int) -> int:
 def _reported(body):
     """Make a body that takes its options by name and returns (result,
     violation) into a subcommand with --format: time the body, map its
-    errors to exit codes 2 and 3, write the report and exit 1 on a
+    errors, running out of memory among them, to exit codes 2 and 3,
+    write the report and exit 1 on a
     violation. The report's inputs are the other options under their
     parameter names, in declaration order whatever the command line's."""
 
@@ -277,6 +278,9 @@ def _reported(body):
             result, violation = body(**options)
         except PreconditionError as exc:
             _emit_error(exc, 3)
+        except MemoryError as exc:
+            # work too big for the process's memory; a MemoryError often has no message
+            _emit_error(MemoryError(str(exc) or "the run needs more memory than it can get"), 3)
         except ValueError as exc:  # a ParseError among them
             _emit_error(exc, 2)
         elapsed_ms = round((time.perf_counter() - started) * 1000)

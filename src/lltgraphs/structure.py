@@ -6,18 +6,22 @@ the polynomial, and a bounded breadth-first search for a move sequence
 relating two strips.
 
 The search's states are flat (lo1, hi1, lo2, hi2, ...) row tuples at
-minimum content 0.  A state is not offered a move whose result is already
-found: the rotate or commute_swap that reached it, an involution leading
-back to its parent, and after a commute_swap t the rotate, the cycle when
-t >= 2 and each commute_swap u <= t-2, whose results a commutation identity
-places among the states found from its parent's earlier moves.  Leaving
-them out changes neither the order in which states are found nor their
-parents; _neighbours argues why.
+minimum content 0, and its moves are small int codes; _move decodes one
+into its public move tuple, and only the replay of the found path calls
+it.  A state is not offered a move whose result is already found: the
+rotate or commute_swap that reached it, an involution leading back to its
+parent, after a commute_swap t the rotate, the cycle when t >= 2 and each
+commute_swap u <= t-2, and after a cycle and then a rotate the cycle,
+whose results an identity of the moves places among the results of a
+state expanded earlier.  Leaving them out changes neither the order in
+which states are found nor their parents; _neighbours argues why.  Each
+candidate then costs one dict probe in _search.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional
 
@@ -45,6 +49,11 @@ from .wgraph import canonical_form, pi_graph
 
 Move = tuple
 State = tuple  # rows as one flat (lo1, hi1, lo2, hi2, ...) tuple, minimum content 0
+
+# the search's move codes: commute_swap t is t, local_rotate t is -2 - t and
+# rotate 0 has two, the second for a state that a cycle reached; _START
+# stands for no move, at the search's start
+_START, _CYCLE, _ROTATE, _ROTATE_AFTER_CYCLE = 0, -1, -2, -3
 
 
 def find_minimal_ncp(strip: HorizontalStrip, i: int, j: int) -> Optional[tuple[int, ...]]:
@@ -262,79 +271,130 @@ def _state(strip: HorizontalStrip) -> State:
     return tuple(x - low for r in strip.rows for x in (r.lo, r.hi))
 
 
-def _neighbours(state: State, back: Optional[Move] = None) -> Iterable[tuple[Move, State]]:
-    """The search's moves from a normalised flat state, as (move, state)
-    pairs with each state normalised: cycle, rotate 0, every allowed
-    commute_swap, then every allowed local_rotate.  local_rotate is tried
-    only where row t starts in the column after row t-1 ends, and only
-    when the caller reaches it, so a search never builds one past its stop.
+def _move(code: int) -> Move:
+    """The public move of a search move code; the codes are listed above _START."""
+    if code > 0:
+        return ("commute_swap", code)
+    if code == _CYCLE:
+        return ("cycle",)
+    if code in (_ROTATE, _ROTATE_AFTER_CYCLE):
+        return ("rotate", 0)
+    return ("local_rotate", -2 - code)
 
-    `back` is the move that reached `state` from its parent P.  The moves
-    whose results are already found are left out, and the others keep
-    their order.  When `back` is ("rotate", 0) or ("commute_swap", t), that
-    move is left out: both are involutions on normalised states, so it
-    only leads back to P.  When `back` is ("commute_swap", t) on n rows,
-    so that state = swap_t(P), three more are left out:
+
+@lru_cache(maxsize=16)
+def _plans(n: int) -> dict[int, tuple[bool, Optional[int], tuple, tuple]]:
+    """What _neighbours offers a state of n rows, keyed by the code of the
+    move that reached it: whether to cycle; the code of the rotate 0 to
+    offer, or None; the windows (j-2, j+2, u) of the commute_swap u moves
+    to try, in order; and each j whose row pair (j/2, j/2 + 1) those
+    windows skip although the pair may touch.  Cached, so the caller must
+    not change it."""
+    windows = tuple((j - 2, j + 2, j // 2) for j in range(2, 2 * n, 2))
+    every = (True, _ROTATE, windows, ())
+    plans = {
+        _START: every,
+        _CYCLE: (True, _ROTATE_AFTER_CYCLE, windows, ()),
+        _ROTATE: (True, None, windows, ()),
+        _ROTATE_AFTER_CYCLE: (False, None, windows, ()),  # rule D
+    }
+    for t in range(2, n + 1):
+        plans[-2 - t] = every
+    for t in range(1, n):
+        # rules A, B and C, and not swap t again; the pairs of rule C may touch
+        kept = windows[max(t - 2, 0) : t - 1] + windows[t:]
+        plans[t] = (t < 2, None, kept, tuple(range(2, 2 * t - 2, 2)))
+    return plans
+
+
+def _neighbours(
+    state: State, back: int = _START, plans: Optional[dict] = None
+) -> Iterable[tuple[int, State]]:
+    """The search's moves from a normalised flat state, as (code, state)
+    pairs with each state normalised and each move a code that _move
+    decodes: cycle, rotate 0, every allowed commute_swap, then every
+    allowed local_rotate.  local_rotate is tried only where row t starts in
+    the column after row t-1 ends, and only when the caller reaches it, so
+    a search never builds one past its stop.  `plans` is _plans(n) for the
+    state's n rows, which a search looks up once.
+
+    `back` is the code of the move that reached `state` from its parent P,
+    or _START.  The moves whose results are already found are left out, and
+    the others keep their order.  When `back` is rotate 0 or commute_swap t,
+    that move is left out: both are involutions on normalised states, so it
+    only leads back to P.  When `back` is commute_swap t on n rows, so that
+    state = swap_t(P), three more are left out:
 
     A. rotate 0, since rotate(swap_t(P)) = swap_{n-t}(rotate(P));
     B. cycle when t >= 2, since cycle(swap_t(P)) = swap_{t-1}(cycle(P));
     C. commute_swap u for u <= t-2, since swaps of disjoint row pairs
        commute: swap_u(swap_t(P)) = swap_t(swap_u(P)).
 
+    When P was reached by a cycle from its parent G and `back` is rotate 0
+    (code _ROTATE_AFTER_CYCLE), so that state = rotate(cycle(G)), one more:
+
+    D. cycle, since cycle(rotate(cycle(G))) = rotate(G).  Up to a
+       translate, rotate maps rows (x1, ..., xn) to (-xn, ..., -x1), each
+       row reflected, and cycle maps them to (x2, ..., xn, x1 - 1); so
+       rotate(cycle(x)) = (1 - x1, -xn, ..., -x2), whose cycle is rotate(x).
+
     Reversing or cycling the rows keeps whether two rows commute, so each
-    right-hand swap is allowed.  Its inner state Q (rotate(P), cycle(P) or
-    swap_u(P)) comes before swap_t in P's list, so a breadth-first search
-    finds Q before `state` and takes Q from its queue first.  Q offers the
-    outer swap too, unless Q was itself reached by that swap, when the
-    result is Q's parent, or skips it by rule C, when the result is found
-    by induction on the order in which states leave the queue.  Q may also
-    be found without being offered, by these rules at P, and the same
-    induction covers it.  So every state left out here is already found
-    when `state` is expanded, and the search finds the same states, in the
-    same order and from the same parents, as when every move is offered.
+    right-hand swap is allowed, and each right-hand side is a move's result
+    from a state Q the search expands before `state`: rotate(P), cycle(P)
+    or swap_u(P), which P lists before swap_t, or G.  Assume the search has
+    so far found the same states, in the same order and from the same
+    parents, as one that offers every move, which holds at the start.  That
+    search finds every result of Q by the time it has expanded Q, so each
+    state left out here is already found, and leaving it out keeps the
+    assumption true after `state` is expanded.
+
+    The swap windows are read in one pass, which also notes a row pair
+    that touches, the second row starting right after the first ends.
+    Such a pair never commutes.  The pairs the pass skips are the swapped
+    pair, which commutes, and those of rule C, which the plan lists.
     """
-    swapped = back[1] if back is not None and back[0] == "commute_swap" else 0
+    if plans is None:
+        plans = _plans(len(state) // 2)
+    cycles, rotation, windows, unread = plans[back]
     found = []
-    if swapped < 2:
+    if cycles:
         lo, hi = state[0], state[1]
         # the cycled row drops by one, so the minimum falls to -1 when it held 0
         if lo == 0:
             cycled = tuple([x + 1 for x in state[2:]]) + (0, hi)
         else:
             cycled = state[2:] + (lo - 1, hi - 1)
-        found.append((("cycle",), cycled))
-    if not swapped and back != ("rotate", 0):
+        found.append((_CYCLE, cycled))
+    if rotation is not None:
         # reflecting through the top content maps the reversed flat tuple
         # (hi_n, lo_n, ...) onto the rotated rows (top - hi_n, top - lo_n, ...)
         top = max(state[1::2])
-        found.append((("rotate", 0), tuple([top - x for x in reversed(state)])))
-    n2 = len(state)
-    for j in range(2 * max(swapped - 1, 1), n2, 2):
-        t = j // 2
-        if t == swapped:
-            continue
-        a, b, c, d = state[j - 2 : j + 2]
+        found.append((rotation, tuple(map(top.__sub__, reversed(state)))))
+    touching = False
+    for i, k, t in windows:
+        a, b, c, d = state[i:k]
         # commutes(): with one row starting strictly left of the other, the
         # pairing shifts it right by one in one order only, which changes
         # the overlap unless the other ends inside it or a content
         # separates them
         if a < c:
             if d > b and b + 2 > c:
+                if c == b + 1:  # row t+1 starts right after row t ends
+                    touching = True
                 continue
         elif a > c and b > d and d + 2 > a:
             continue
-        found.append((("commute_swap", t), state[: j - 2] + (c, d, a, b) + state[j + 2 :]))
-    for j in range(2, n2, 2):
-        if state[j] == state[j - 1] + 1:
-            return chain(found, _local_rotations(state, j))
+        found.append((t, state[:i] + (c, d, a, b) + state[k:]))
+    if touching or unread and any(state[j] == state[j - 1] + 1 for j in unread):
+        return chain(found, _local_rotations(state))
     return found
 
 
-def _local_rotations(state: State, first: int) -> Iterator[tuple[Move, State]]:
-    """The allowed local_rotate moves of a flat state, one at a time, for
-    each row t = j/2 + 1, j >= first, starting right after row t-1 ends."""
+def _local_rotations(state: State) -> Iterator[tuple[int, State]]:
+    """The allowed local_rotate moves of a flat state, one at a time, as
+    (code, state) pairs, for each row t starting right after row t-1 ends."""
     strip = HorizontalStrip(tuple(map(Row, state[::2], state[1::2])))
-    for j in range(first, len(state), 2):
+    for j in range(2, len(state), 2):
         if state[j] != state[j - 1] + 1:
             continue
         t = j // 2 + 1
@@ -342,26 +402,34 @@ def _local_rotations(state: State, first: int) -> Iterator[tuple[Move, State]]:
             rotated = local_rotate(strip, t)
         except (HypothesisViolated, BlockNotSeparable):
             continue
-        yield ("local_rotate", t), _state(rotated)
+        yield -2 - t, _state(rotated)
 
 
 def _search(start: State, goal: State, budget: int) -> dict[State, Optional[State]]:
     """Breadth-first search from `start` over _neighbours, stopping at
     `goal` or once `budget` states are found.  Returns each found state's
-    parent state (None for `start`), in the order the states were found."""
+    parent state (None for `start`), in the order the states were found.
+
+    The queue holds (state, code) pairs, the code of the move that
+    reached the state, and _plans is looked up once for the row count.
+    Each candidate costs one dict probe: setdefault stores the node as its
+    parent when the candidate is new, and the map's size, against the
+    count of states found so far, tells whether it was."""
     parent: dict[State, Optional[State]] = {start: None}
-    # the queue keeps the move that reached each state, for _neighbours
-    frontier = deque([(start, None)] if start != goal else [])
+    plans = _plans(len(start) // 2)
+    frontier = deque([(start, _START)] if start != goal else [])
+    found = 1
     while frontier:
         node, back = frontier.popleft()
-        for move, nxt in _neighbours(node, back):
-            if nxt in parent:
+        for code, nxt in _neighbours(node, back, plans):
+            parent.setdefault(nxt, node)
+            if len(parent) == found:
                 continue
-            parent[nxt] = node
-            if nxt == goal or len(parent) >= budget:
+            found += 1
+            if nxt == goal or found >= budget:
                 frontier.clear()
                 break
-            frontier.append((nxt, move))
+            frontier.append((nxt, code))
     return parent
 
 
@@ -399,14 +467,14 @@ def similarity_witness(
     # puts a translate to content 0 before each move that needs it, and
     # one translate onto mu after the last
     moves: list[Move] = []
-    current, back = lam, None
+    current, back = lam, _START
     for node, nxt in zip(path, path[1:]):
-        back = next(move for move, state in _neighbours(node, back) if state == nxt)
+        back = next(code for code, state in _neighbours(node, back) if state == nxt)
         if current.min_content != 0:
             moves.append(("translate", -current.min_content))
             current = translate(current, -current.min_content)
-        moves.append(back)
-        current = apply_move(current, back)
+        moves.append(_move(back))
+        current = apply_move(current, moves[-1])
     shift = mu.min_content - current.min_content
     if shift != 0:
         moves.append(("translate", shift))

@@ -416,26 +416,41 @@ def test_a_variable_count_past_sys_maxsize_is_refused(runner, args):
                      "message": f"cannot use {count} variables, more than {sys.maxsize}"}
 
 
-@pytest.mark.parametrize("command", ["llt", "chromatic"])
-def test_a_listing_of_more_than_sys_maxsize_exponents_is_refused(command):
-    """One cell in sys.maxsize variables has sys.maxsize monomials, each
-    of sys.maxsize exponents: refused before any is padded, with the
-    one-line JSON error and exit 3. The run gets 1 GiB of address space,
-    so a padded monomial ends in a MemoryError rather than in swap."""
+def run_in_1_gib(*args):
+    """The CLI run in a subprocess with 1 GiB of address space, so that a
+    run out of memory ends in a MemoryError rather than in swap."""
     resource = pytest.importorskip("resource")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    result = subprocess.run(
-        [sys.executable, "-m", "lltgraphs", command, "--strip", "1/0", "--vars", str(sys.maxsize)],
+    return subprocess.run(
+        [sys.executable, "-m", "lltgraphs", *args],
         capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
     )
+
+
+@pytest.mark.parametrize("command", ["llt", "chromatic"])
+def test_a_listing_of_more_than_sys_maxsize_exponents_is_refused(command):
+    """One cell in sys.maxsize variables has sys.maxsize monomials, each
+    of sys.maxsize exponents: refused before any is padded, with the
+    one-line JSON error and exit 3."""
+    result = run_in_1_gib(command, "--strip", "1/0", "--vars", str(sys.maxsize))
     assert (result.returncode, result.stdout) == (3, "")
     error = json.loads(result.stderr)["error"]
     assert error == {"type": "PreconditionViolated", "exit_code": 3,
                      "message": f"cannot list {sys.maxsize} monomials in {sys.maxsize} "
                                 f"variables, more than {sys.maxsize} exponents"}
+
+
+def test_running_out_of_memory_is_a_one_line_error():
+    """One cell in 10**8 variables lists 10**8 monomials of 10**8
+    exponents each, under the sys.maxsize guard but past 1 GiB: the
+    MemoryError becomes the one-line JSON error with exit 3."""
+    result = run_in_1_gib("llt", "--strip", "1/0", "--vars", str(10**8))
+    assert (result.returncode, result.stdout, len(result.stderr.splitlines())) == (3, "", 1)
+    error = json.loads(result.stderr)["error"]
+    assert (error["type"], error["exit_code"]) == ("MemoryError", 3) and error["message"]
 
 
 def test_verify_takes_a_variable_count_of_sys_maxsize(runner):

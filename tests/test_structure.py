@@ -1,3 +1,4 @@
+import hashlib
 import re
 import random
 from collections import deque
@@ -415,6 +416,20 @@ def test_fixed_miss_pair_runs_out_of_budget():
     assert similarity_witness(lam, mu, budget=20_000) is None
 
 
+def test_miss_pair_search_is_pinned_over_its_whole_budget():
+    """The fixed miss pair's search to its default budget of 100,000
+    states: the found states in order, each with its parent, as one
+    SHA-256 over their repr.  The hash was recorded from the search when it
+    offered moves as tuples, so the move codes and the one-probe insert
+    find the same states in the same order from the same parents."""
+    start, goal = flat_state(parse_strip("2/0,4/1,7/4")), flat_state(parse_strip("3/0,4/2,7/4"))
+    found = structure._search(start, goal, 100_000)
+    assert len(found) == 100_000 and goal not in found
+    assert hashlib.sha256(repr(list(found.items())).encode()).hexdigest() == (
+        "7939a2163b10a56a635029bf1d0a5a3179c91c0e4f0ecb4191ced005a44d5bc3"
+    )
+
+
 # ---- the search's moves against the public moves ---------------------------------
 
 def public_neighbours(strip):
@@ -448,8 +463,13 @@ def rows_of(state):
     return tuple(zip(state[::2], state[1::2]))
 
 
+def decoded(*args):
+    """_neighbours(*args) with each move code decoded to its public move."""
+    return [(structure._move(code), state) for code, state in structure._neighbours(*args)]
+
+
 def search_neighbours(strip):
-    return [(move, rows_of(state)) for move, state in structure._neighbours(flat_state(strip))]
+    return [(move, rows_of(state)) for move, state in decoded(flat_state(strip))]
 
 
 def test_nested_strip_offers_a_local_rotation():
@@ -546,16 +566,20 @@ def test_search_moves_match_public_moves(strip):
 @example(strip=parse_strip("2/0,2/1"))
 @example(strip=parse_strip("2/0,4/1,7/4"))
 @example(strip=parse_strip("1/0,3/2,5/4,7/6,9/8"))  # every adjacent pair commutes
+@example(strip=parse_strip("1/0,2/1,5/3,9/7"))  # rows 1 and 2 still touch after swap 3
 def test_search_leaves_out_only_moves_found_from_the_parent(strip):
     """A state reached by a move leaves out the move back, which leads to
     the parent; after a commute_swap t it also leaves out rotate 0, cycle
     when t >= 2 and commute_swap u <= t-2, each equal to a swap applied to
-    an earlier entry of the parent's list.  The rest keep their order."""
+    an earlier entry of the parent's list; after a cycle and then a rotate
+    it leaves out the cycle, equal to the rotate of the cycle's parent.
+    The rest keep their order."""
     state = flat_state(strip)
-    offered = dict(structure._neighbours(state))
+    codes = {structure._move(code): code for code, _ in structure._neighbours(state)}
+    offered = dict(decoded(state))
 
     def then(first, second):
-        return dict(structure._neighbours(offered[first]))[second]
+        return dict(decoded(offered[first]))[second]
 
     for move, nxt in offered.items():
         left_out = {}
@@ -569,10 +593,20 @@ def test_search_leaves_out_only_moves_found_from_the_parent(strip):
             for u in range(1, t - 1):
                 if ("commute_swap", u) in offered:
                     left_out[("commute_swap", u)] = then(("commute_swap", u), move)
-        full = list(structure._neighbours(nxt))
+        full = decoded(nxt)
         assert {m: out for m, out in full if m in left_out} == left_out, (strip.literal, move)
         kept = [entry for entry in full if entry[0] not in left_out]
-        assert list(structure._neighbours(nxt, move)) == kept, (strip.literal, move)
+        assert decoded(nxt, codes[move]) == kept, (strip.literal, move)
+    # a rotate after a cycle leaves out the cycle, which gives the start's rotate
+    cycled = offered[("cycle",)]
+    code, turned = next(
+        (code, out) for code, out in structure._neighbours(cycled, codes[("cycle",)])
+        if structure._move(code) == ("rotate", 0)
+    )
+    full = decoded(turned)
+    assert dict(full)[("cycle",)] == offered[("rotate", 0)], strip.literal
+    kept = [entry for entry in full if entry[0] not in (("cycle",), ("rotate", 0))]
+    assert decoded(turned, code) == kept, strip.literal
 
 
 # ---- local rotation against the public moves --------------------------------------
